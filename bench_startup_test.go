@@ -1,19 +1,17 @@
 // Cold-start benchmarks for the scheme container: how long from a
 // persisted file to a servable (graph, scheme) pair, and what it costs
-// in heap. Three readers are swept at two scheme sizes:
+// in heap. Two readers are swept at two scheme sizes:
 //
-//   - v1-full: the uvarint-framed v1 container through the streaming
-//     decoder — every router payload decoded up front;
-//   - v2-full: the aligned v2 container through the heap reader — same
-//     eager decode, plus section checksums;
+//   - v2-full: the v2 container through schemeio.ReadFile — the mapped
+//     reader's validation plus one eager decode of every router payload;
 //   - v2-mapped: the v2 container through schemeio.OpenMapped — O(index)
 //     validation now, router payloads decoded lazily on first touch, so
 //     cold-start cost is independent of scheme size.
 //
 // CI archives these as BENCH_startup.json (see DESIGN.md "Bench
-// trajectory"); EXPERIMENTS.md E22 reads the v1-full vs v2-mapped ratio
+// trajectory"); EXPERIMENTS.md E22 reads the v2-full vs v2-mapped ratio
 // off that document. The acceptance floor is mapped open >= 5x faster
-// than v1 full decode at the largest benchmarked scheme:
+// than v2 full decode at the largest benchmarked scheme:
 //
 //	go test -run '^$' -bench '^BenchmarkLoadContainer$' -benchtime 100x . \
 //	    | go run ./cmd/benchjson > BENCH_startup.json
@@ -29,11 +27,10 @@ import (
 	"repro/internal/shortest"
 )
 
-// benchContainerFiles persists one tables scheme in both container
-// versions under dir, returning the two paths. Tables are the dense
-// regime — Θ(n log n) row bits — where eager versus lazy decode
-// separates most.
-func benchContainerFiles(b *testing.B, dir string, n int) (v1Path, v2Path string) {
+// benchContainerFile persists one tables scheme under dir, returning
+// its path. Tables are the dense regime — Θ(n log n) row bits — where
+// eager versus lazy decode separates most.
+func benchContainerFile(b *testing.B, dir string, n int) string {
 	b.Helper()
 	g := benchGraph(n)
 	apsp := shortest.NewAPSP(g)
@@ -41,53 +38,38 @@ func benchContainerFiles(b *testing.B, dir string, n int) (v1Path, v2Path string
 	if err != nil {
 		b.Fatal(err)
 	}
-	v1Path = fmt.Sprintf("%s/n%d.rsf", dir, n)
-	v2Path = fmt.Sprintf("%s/n%d.rsf2", dir, n)
-	f1, err := os.Create(v1Path)
+	path := fmt.Sprintf("%s/n%d.rsf2", dir, n)
+	f, err := os.Create(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := schemeio.WriteFile(f1, g, s); err != nil {
+	if err := schemeio.WriteFileV2(f, g, s); err != nil {
 		b.Fatal(err)
 	}
-	if err := f1.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	f2, err := os.Create(v2Path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := schemeio.WriteFileV2(f2, g, s); err != nil {
-		b.Fatal(err)
-	}
-	if err := f2.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return v1Path, v2Path
+	return path
 }
 
 func BenchmarkLoadContainer(b *testing.B) {
 	dir := b.TempDir()
 	for _, n := range []int{512, 2048} {
-		v1Path, v2Path := benchContainerFiles(b, dir, n)
-		fullLoad := func(path string) func(b *testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					f, err := os.Open(path)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, _, err := schemeio.ReadFile(f); err != nil {
-						b.Fatal(err)
-					}
-					f.Close()
+		v2Path := benchContainerFile(b, dir, n)
+		b.Run(fmt.Sprintf("v2-full/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := os.Open(v2Path)
+				if err != nil {
+					b.Fatal(err)
 				}
-				reportFileBytes(b, path)
+				if _, _, err := schemeio.ReadFile(f); err != nil {
+					b.Fatal(err)
+				}
+				f.Close()
 			}
-		}
-		b.Run(fmt.Sprintf("v1-full/n=%d", n), fullLoad(v1Path))
-		b.Run(fmt.Sprintf("v2-full/n=%d", n), fullLoad(v2Path))
+			reportFileBytes(b, v2Path)
+		})
 		b.Run(fmt.Sprintf("v2-mapped/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

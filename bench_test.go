@@ -152,13 +152,12 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateStreaming measures the beyond-RAM distance backends
+// BenchmarkEvaluateStreaming measures the beyond-RAM distance backend
 // on the same instance as BenchmarkEvaluate: stream recomputes each
-// claimed row by per-worker BFS (O(workers·n) distance memory), cache
-// streams through a bounded row LRU. The reports are bit-identical to
-// the dense sub-benchmarks — the time/memory tradeoff is the entire
-// difference, and its trajectory is archived by CI as
-// BENCH_evaluate.json (see DESIGN.md).
+// claimed row by per-worker BFS (O(workers·n) distance memory). The
+// reports are bit-identical to the dense sub-benchmarks — the
+// time/memory tradeoff is the entire difference, and its trajectory is
+// archived by CI as BENCH_evaluate.json (see DESIGN.md).
 func BenchmarkEvaluateStreaming(b *testing.B) {
 	pr, err := core.ChooseParams(1024, 0.5)
 	if err != nil {
@@ -173,29 +172,27 @@ func BenchmarkEvaluateStreaming(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []evaluate.DistMode{evaluate.DistStream, evaluate.DistCache} {
-		for _, workers := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				opt := evaluate.Options{Workers: workers, DistMode: mode}
-				var rows int
-				for i := 0; i < b.N; i++ {
-					rep, err := evaluate.Stretch(g, s, nil, opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rep.Pairs == 0 {
-						b.Fatal("no pairs measured")
-					}
-					osrc, err := opt.Source(g, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rows = osrc.ResidentRows(workers)
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("stream/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			opt := evaluate.Options{Workers: workers, DistMode: evaluate.DistStream}
+			var rows int
+			for i := 0; i < b.N; i++ {
+				rep, err := evaluate.Stretch(g, s, nil, opt)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(rows), "residentrows")
-			})
-		}
+				if rep.Pairs == 0 {
+					b.Fatal("no pairs measured")
+				}
+				osrc, err := opt.Source(g, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = osrc.ResidentRows(workers)
+			}
+			b.ReportMetric(float64(rows), "residentrows")
+		})
 	}
 }
 

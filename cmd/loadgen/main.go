@@ -18,6 +18,8 @@
 // as BENCH_serve.json in the same document shape as the other
 // BENCH_*.json trajectories (DESIGN.md "Bench trajectory"), so CI can
 // archive a serving data point per run next to the core/codec ones.
+// The -o file is replaced crash-safely (synced temporary file, then
+// rename), so an interrupted run never leaves a torn document.
 //
 // Usage:
 //
@@ -33,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -58,7 +61,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generator seed (graph, scheme and query stream)")
 	load := flag.String("load", "", "load scheme+graph from this schemeio file instead of building")
 	shardsCSV := flag.String("shards", "1", "comma-separated shard counts to sweep")
-	modesCSV := flag.String("distmodes", "dense", "comma-separated distance backends to sweep: dense|stream|cache")
+	modesCSV := flag.String("distmodes", "dense", "comma-separated distance backends to sweep: dense|stream")
 	clientsCSV := flag.String("clients", "4", "comma-separated client worker counts to sweep")
 	rate := flag.Int("rate", 2000, "open-loop arrival rate, queries/second")
 	duration := flag.Duration("duration", 10*time.Second, "measured duration per cell")
@@ -67,7 +70,6 @@ func main() {
 	deadline := flag.Duration("deadline", 5*time.Second, "per-request deadline (client and server side)")
 	maxInFlight := flag.Int("maxinflight", 256, "per-shard admission-control cap")
 	workers := flag.Int("workers", 0, "per-shard serving pool size (0 = all cores)")
-	cacheRows := flag.Int("cacherows", 0, "row capacity for distmode cache (0 = default)")
 	out := flag.String("o", "BENCH_serve.json", "write the JSON document here ('-' = stdout)")
 	flag.Parse()
 
@@ -121,7 +123,7 @@ func main() {
 					g: g, s: s, apsp: apsp, shards: k, mode: mode, clients: clients,
 					rate: *rate, duration: *duration, batch: *batch, op: *op,
 					deadline: *deadline, maxInFlight: *maxInFlight,
-					workers: *workers, cacheRows: *cacheRows, seed: *seed,
+					workers: *workers, seed: *seed,
 				}
 				res, err := runCell(cell)
 				if err != nil {
@@ -143,7 +145,10 @@ func main() {
 		os.Stdout.Write(blob)
 		return
 	}
-	if err := os.WriteFile(*out, blob, 0o644); err != nil {
+	if err := cliutil.WriteFileAtomic(*out, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	}); err != nil {
 		fail(1, err)
 	}
 	fmt.Fprintf(os.Stderr, "loadgen: wrote %s (%d cells)\n", *out, len(doc.Benchmarks))
@@ -262,7 +267,6 @@ type cellConfig struct {
 	rate, batch          int
 	duration, deadline   time.Duration
 	maxInFlight, workers int
-	cacheRows            int
 	op                   string
 	seed                 uint64
 }
@@ -311,7 +315,7 @@ func (r cellResult) benchmark(c cellConfig) benchmark {
 // shared when the scheme build already produced it (read-only), every
 // other backend is per-shard so resident rows stay per-slice.
 func cellSource(c cellConfig) (shortest.DistanceSource, error) {
-	opt := evaluate.Options{Workers: c.workers, DistMode: c.mode, CacheRows: c.cacheRows}
+	opt := evaluate.Options{Workers: c.workers, DistMode: c.mode}
 	if (c.mode == evaluate.DistAuto || c.mode == evaluate.DistDense) && c.apsp != nil {
 		return c.apsp, nil
 	}

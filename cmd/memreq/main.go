@@ -15,8 +15,8 @@
 // -distmode selects the distance backend of the evaluation (see
 // internal/shortest DistanceSource): dense precomputes the n^2 table,
 // stream recomputes one row per claimed source inside each worker
-// (O(workers*n) distance memory — the beyond-RAM mode), cache streams
-// through a bounded LRU of rows. All three report bit-identical numbers.
+// (O(workers*n) distance memory — the beyond-RAM mode). Both report
+// bit-identical numbers.
 //
 // -kernel picks the hop-metric row kernel: scalar runs one BFS per row,
 // batch runs 64 sources per word-parallel MS-BFS pass (shared arc
@@ -24,16 +24,15 @@
 // batch kernel's readers hold a 64-row prefetch block each, and the
 // resident-rows line reports that honestly (O(workers*64*n) instead of
 // O(workers*n)). batch is rejected with -weighted (no Dijkstra batch
-// kernel exists) and with -distmode cache (rows are cached one at a
-// time) — explicit errors, never silent fallbacks.
+// kernel exists) — an explicit error, never a silent fallback.
 //
 // -weighted switches the measured metric to cost stretch under symmetric
 // integer arc costs drawn uniformly from [1, -maxweight] off -seed
 // (shortest.RandomWeights, so the assignment is reproducible from the
 // flag values alone). Every -distmode applies unchanged: dense builds
-// the weighted all-pairs table, stream/cache recompute rows by
-// per-worker Dijkstra under the same residency contracts, and all
-// backends report bit-identical numbers in this metric too.
+// the weighted all-pairs table, stream recomputes rows by per-worker
+// Dijkstra under the same residency contract, and both backends report
+// bit-identical numbers in this metric too.
 //
 // The theorem1 family builds the padded graph of constraints of a random
 // matrix (the G_n of the paper's main theorem) and additionally prints
@@ -64,14 +63,13 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for all-pairs evaluation (0 = all cores)")
 	sample := flag.Int("sample", 0, "measure only this many sampled ordered pairs (0 = exhaustive)")
 	sampleSeed := flag.Uint64("sampleseed", 1, "seed for -sample pair selection (independent of -seed)")
-	distmode := flag.String("distmode", "dense", "distance backend: dense|stream|cache (stream/cache never materialize the n^2 table)")
-	cacheRows := flag.Int("cacherows", 0, "row capacity for -distmode cache (0 = default)")
-	kernel := flag.String("kernel", "auto", "hop-metric row kernel: auto|scalar|batch (batch = 64-source MS-BFS; incompatible with -weighted and -distmode cache)")
+	distmode := flag.String("distmode", "dense", "distance backend: dense|stream (stream never materializes the n^2 table)")
+	kernel := flag.String("kernel", "auto", "hop-metric row kernel: auto|scalar|batch (batch = 64-source MS-BFS; incompatible with -weighted)")
 	weighted := flag.Bool("weighted", false, "measure cost stretch under random symmetric arc costs instead of hop stretch")
 	maxWeight := flag.Int("maxweight", 8, "largest arc cost for -weighted (costs uniform on [1, maxweight], drawn off -seed)")
 	flag.Parse()
 
-	mode, err := cliutil.ParseEvalFlags(*workers, *sample, *distmode, *cacheRows)
+	mode, err := cliutil.ParseEvalFlags(*workers, *sample, *distmode)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "memreq: %v\n", err)
 		os.Exit(2)
@@ -94,15 +92,15 @@ func main() {
 	if *weighted {
 		wts = shortest.RandomWeights(g, *maxWeight, xrand.New(*seed))
 	}
-	opt := evaluate.Options{Workers: *workers, Sample: *sample, Seed: *sampleSeed, DistMode: mode, CacheRows: *cacheRows, Kernel: kern}
+	opt := evaluate.Options{Workers: *workers, Sample: *sample, Seed: *sampleSeed, DistMode: mode, Kernel: kern}
 	// The dense tables are the only O(n^2) objects of this pipeline: build
 	// them only in dense mode, where scheme construction and evaluation
-	// read them. Stream/cache runs construct the scheme from BFS rows and
+	// read them. Stream runs construct the scheme from BFS rows and
 	// evaluate against on-demand rows (BFS or Dijkstra, per the metric),
-	// so peak distance memory stays at O(workers*n) (plus the cache
-	// capacity in cache mode) — weighted runs included.
+	// so peak distance memory stays at O(workers*n) — weighted runs
+	// included.
 	var apsp *shortest.APSP
-	streaming := mode == evaluate.DistStream || mode == evaluate.DistCache
+	streaming := mode == evaluate.DistStream
 	needHop := !streaming
 	if *weighted {
 		// Under the weighted metric the evaluation reads the weighted

@@ -20,9 +20,9 @@
 // evaluates a seeded uniform subset of the ordered pairs instead —
 // deterministic for a fixed seed, but approximate, so the recorded
 // EXPERIMENTS.md numbers always use exhaustive mode. -distmode swaps the
-// distance backend (dense table, streaming BFS rows, bounded row cache)
-// under every stretch measurement; backends return bit-identical rows,
-// so this flag moves memory and time, never the numbers. -kernel picks
+// distance backend (dense table or streaming BFS rows) under every
+// stretch measurement; backends return bit-identical rows, so this flag
+// moves memory and time, never the numbers. -kernel picks
 // the hop-metric row kernel behind dense and stream backends (scalar
 // one-BFS-per-row vs the word-parallel 64-source batch); kernels too
 // return bit-identical rows, but note -kernel batch changes the stream
@@ -52,8 +52,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for all-pairs evaluation (0 = all cores)")
 	sample := flag.Int("sample", 0, "evaluate only this many sampled ordered pairs per measurement (0 = exhaustive)")
 	seed := flag.Uint64("seed", 1, "seed for -sample pair selection")
-	distmode := flag.String("distmode", "dense", "distance backend: dense|stream|cache")
-	cacheRows := flag.Int("cacherows", 0, "row capacity for -distmode cache (0 = default)")
+	distmode := flag.String("distmode", "dense", "distance backend: dense|stream")
 	kernel := flag.String("kernel", "auto", "hop-metric row kernel: auto|scalar|batch (batch = 64-source MS-BFS; weighted measurements such as E19 reject it)")
 	e18large := flag.Bool("e18large", false, "extend E18 to the large-n ladder (n up to 32768; slow, sampled)")
 	format := flag.String("format", "text", "output format: text|json|csv")
@@ -72,7 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "routelab: %v\n", err)
 		os.Exit(2)
 	}
-	mode, err := cliutil.ParseEvalFlags(*workers, *sample, *distmode, *cacheRows)
+	mode, err := cliutil.ParseEvalFlags(*workers, *sample, *distmode)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "routelab: %v\n", err)
 		os.Exit(2)
@@ -82,7 +81,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "routelab: %v\n", err)
 		os.Exit(2)
 	}
-	exp.SetEvalOptions(evaluate.Options{Workers: *workers, Sample: *sample, Seed: *seed, DistMode: mode, CacheRows: *cacheRows, Kernel: kern})
+	exp.SetEvalOptions(evaluate.Options{Workers: *workers, Sample: *sample, Seed: *seed, DistMode: mode, Kernel: kern})
 	exp.SetScalingLarge(*e18large)
 
 	ids := []string{}

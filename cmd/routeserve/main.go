@@ -21,9 +21,15 @@
 // output line; they never abort the stream). -distmode selects the
 // oracle backend for stretch queries exactly as in routelab/memreq:
 // dense precomputes the n^2 table, stream recomputes rows per worker
-// (O(workers*n) resident memory), cache keeps a bounded LRU. Answers
+// (O(workers*n) resident memory). Answers
 // are bit-identical to the serial routing package for every backend,
 // batch size and worker count.
+//
+// -save writes the scheme as a v2 container, and -deltaout its
+// generation patch, crash-safely: through a synced temporary file in
+// the target directory that is renamed over the target, so a crash
+// leaves the old file or the new one, never a torn write. -load reads
+// v2 containers only; a v1 file is refused with an explicit error.
 //
 // -bench self-drives the server: seeded random stretch queries in
 // -batch-sized batches across a ladder of worker counts, reporting
@@ -59,6 +65,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -94,8 +101,7 @@ func main() {
 	queries := flag.String("queries", "", "serve queries from this file ('-' = stdin); lines: route|len|stretch u v")
 	batch := flag.Int("batch", 1024, "queries per served batch")
 	workers := flag.Int("workers", 0, "worker pool size per batch (0 = all cores)")
-	distmode := flag.String("distmode", "dense", "distance backend for stretch queries: dense|stream|cache")
-	cacheRows := flag.Int("cacherows", 0, "row capacity for -distmode cache (0 = default)")
+	distmode := flag.String("distmode", "dense", "distance backend for stretch queries: dense|stream")
 	bench := flag.Bool("bench", false, "self-drive mode: serve seeded stretch queries across a worker ladder and report throughput")
 	benchQueries := flag.Int("benchqueries", 0, "query count per -bench cell (0 = default 200000)")
 	listen := flag.String("listen", "", "serve the netserve wire protocol on this TCP address (host:port)")
@@ -111,7 +117,7 @@ func main() {
 	applyDelta := flag.String("applydelta", "", "apply a generation patch (from -deltaout) to the scheme before serving")
 	flag.Parse()
 
-	mode, err := cliutil.ParseEvalFlags(*workers, 0, *distmode, *cacheRows)
+	mode, err := cliutil.ParseEvalFlags(*workers, 0, *distmode)
 	if err != nil {
 		fail(2, err)
 	}
@@ -231,7 +237,10 @@ func main() {
 				if err != nil {
 					fail(1, err)
 				}
-				if err := os.WriteFile(*deltaOut, blob, 0o644); err != nil {
+				if err := cliutil.WriteFileAtomic(*deltaOut, func(w io.Writer) error {
+					_, err := w.Write(blob)
+					return err
+				}); err != nil {
 					fail(1, err)
 				}
 				fmt.Fprintf(os.Stderr, "routeserve: generation patch 1->%d written to %s (%d bytes)\n",
@@ -289,19 +298,13 @@ func main() {
 	}
 
 	if *save != "" {
-		f, err := os.Create(*save)
+		err := cliutil.WriteFileAtomic(*save, func(w io.Writer) error {
+			if enc != nil {
+				return schemeio.WriteFileV2Encoded(w, g, enc) // fresh build: blob already encoded once
+			}
+			return schemeio.WriteFileV2(w, g, s) // -load + -save: re-encode (canonical) into a v2 container
+		})
 		if err != nil {
-			fail(1, err)
-		}
-		if enc != nil {
-			err = schemeio.WriteFileV2Encoded(f, g, enc) // fresh build: blob already encoded once
-		} else {
-			err = schemeio.WriteFileV2(f, g, s) // -load + -save: re-encode (canonical) into a v2 container
-		}
-		if err != nil {
-			fail(1, err)
-		}
-		if err := f.Close(); err != nil {
 			fail(1, err)
 		}
 	}
@@ -328,10 +331,10 @@ func main() {
 	// actually reads a row. Route/len-only streams never pay for an
 	// oracle at all. Sharded serving calls shardSource once per shard:
 	// the dense table, when one exists, is shared (it is read-only and
-	// one n² block is plenty), while stream/cache shards each get their
+	// one n² block is plenty), while stream shards each get their
 	// own backend so a shard's resident rows are exactly the rows its
 	// owned sources asked for.
-	opt := evaluate.Options{Workers: *workers, DistMode: mode, CacheRows: *cacheRows}
+	opt := evaluate.Options{Workers: *workers, DistMode: mode}
 	var sharedSrc shortest.DistanceSource
 	if apsp != nil {
 		sharedSrc = apsp
@@ -505,7 +508,7 @@ func buildOrLoad(load string, useMmap bool, family string, n int, schemeName str
 	if err != nil {
 		return nil, nil, nil, nil, 0, err
 	}
-	streaming := mode == evaluate.DistStream || mode == evaluate.DistCache
+	streaming := mode == evaluate.DistStream
 	s, apsp, err := cliutil.BuildScheme(schemeName, g, cliutil.SchemeConfig{Seed: seed, Streaming: streaming, Workers: workers})
 	if err != nil {
 		return nil, nil, nil, nil, 0, err

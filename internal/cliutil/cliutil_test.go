@@ -39,33 +39,30 @@ func TestParseEvalFlags(t *testing.T) {
 	cases := []struct {
 		workers, sample int
 		distmode        string
-		cacheRows       int
 		want            evaluate.DistMode
 		wantErr         string
 	}{
-		{0, 0, "dense", 0, evaluate.DistDense, ""},
-		{4, 1000, "stream", 0, evaluate.DistStream, ""},
-		{4, 1000, "cache", 128, evaluate.DistCache, ""},
-		{0, 0, "", 0, evaluate.DistAuto, ""},
-		{-1, 0, "dense", 0, 0, "-workers"},
-		{0, -1, "dense", 0, 0, "-sample"},
-		{0, 0, "turbo", 0, 0, "distance mode"},
-		{0, 0, "dense", -3, 0, "-cacherows"},
-		{0, 0, "stream", 64, 0, "-cacherows only applies"},
+		{0, 0, "dense", evaluate.DistDense, ""},
+		{4, 1000, "stream", evaluate.DistStream, ""},
+		{0, 0, "", evaluate.DistAuto, ""},
+		{-1, 0, "dense", 0, "-workers"},
+		{0, -1, "dense", 0, "-sample"},
+		{0, 0, "turbo", 0, "distance mode"},
+		{4, 1000, "cache", 0, "distance mode"},
 	}
 	for _, c := range cases {
-		mode, err := ParseEvalFlags(c.workers, c.sample, c.distmode, c.cacheRows)
+		mode, err := ParseEvalFlags(c.workers, c.sample, c.distmode)
 		if c.wantErr == "" {
 			if err != nil {
-				t.Fatalf("ParseEvalFlags(%d,%d,%q,%d) = %v, want nil", c.workers, c.sample, c.distmode, c.cacheRows, err)
+				t.Fatalf("ParseEvalFlags(%d,%d,%q) = %v, want nil", c.workers, c.sample, c.distmode, err)
 			}
 			if mode != c.want {
-				t.Fatalf("ParseEvalFlags(%d,%d,%q,%d) mode = %v, want %v", c.workers, c.sample, c.distmode, c.cacheRows, mode, c.want)
+				t.Fatalf("ParseEvalFlags(%d,%d,%q) mode = %v, want %v", c.workers, c.sample, c.distmode, mode, c.want)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Fatalf("ParseEvalFlags(%d,%d,%q,%d) err = %v, want error mentioning %q", c.workers, c.sample, c.distmode, c.cacheRows, err, c.wantErr)
+			t.Fatalf("ParseEvalFlags(%d,%d,%q) err = %v, want error mentioning %q", c.workers, c.sample, c.distmode, err, c.wantErr)
 		}
 	}
 }

@@ -32,7 +32,7 @@ type SchemeConfig struct {
 	WeightedAPSP *shortest.APSP
 	// Seed drives landmark sampling.
 	Seed uint64
-	// Streaming marks a -distmode stream|cache run: the dense table is
+	// Streaming marks a -distmode stream run: the dense table is
 	// never materialized — landmark builds from streamed BFS rows
 	// (bit-identical to the dense build) and the inherently
 	// table-backed schemes are an explicit error, never a silent dense

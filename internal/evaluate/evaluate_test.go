@@ -147,13 +147,13 @@ func TestWeightedBitIdenticalToSerial(t *testing.T) {
 	w := shortest.UniformWeights(g)
 	r := xrand.New(17)
 	for u := 0; u < g.Order(); u++ {
-		g.ForEachArc(graph.NodeID(u), func(p graph.Port, v graph.NodeID) {
-			if graph.NodeID(u) < v {
+		for i, v := range g.Arcs(graph.NodeID(u)) {
+			if p := graph.Port(i + 1); graph.NodeID(u) < v {
 				c := int32(r.Intn(5) + 1)
 				w[u][p-1] = c
 				w[v][g.BackPort(graph.NodeID(u), p)-1] = c
 			}
-		})
+		}
 	}
 	s, err := table.NewWeighted(g, w, nil, table.MinPort)
 	if err != nil {
@@ -214,7 +214,7 @@ func TestWeightedLargeCosts(t *testing.T) {
 }
 
 // TestWeightedStretchBackendParity pins the tentpole contract at the
-// package level: WeightedStretch under stream and cache modes never sees
+// package level: WeightedStretch under stream mode never sees
 // the dense weighted table yet reports bit-identically to it.
 func TestWeightedStretchBackendParity(t *testing.T) {
 	g := gen.Torus2D(5, 5)
@@ -227,22 +227,20 @@ func TestWeightedStretchBackendParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []DistMode{DistStream, DistCache} {
-		for _, workers := range []int{1, 4} {
-			rep, err := WeightedStretch(g, s, w, nil, Options{Workers: workers, DistMode: mode, CacheRows: 3})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", mode, workers, err)
-			}
-			if !reflect.DeepEqual(rep, dense) {
-				t.Fatalf("%s workers=%d: weighted report diverges from dense", mode, workers)
-			}
+	for _, workers := range []int{1, 4} {
+		rep, err := WeightedStretch(g, s, w, nil, Options{Workers: workers, DistMode: DistStream})
+		if err != nil {
+			t.Fatalf("stream workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(rep, dense) {
+			t.Fatalf("stream workers=%d: weighted report diverges from dense", workers)
 		}
 	}
 	// Malformed weights surface as an error from backend resolution, in
 	// every mode — the replacement for the old silent dense fallback.
 	bad := shortest.UniformWeights(g)
 	bad[0] = bad[0][:0]
-	for _, mode := range []DistMode{DistAuto, DistStream, DistCache} {
+	for _, mode := range []DistMode{DistAuto, DistStream} {
 		if _, err := WeightedStretch(g, s, bad, nil, Options{DistMode: mode}); err == nil {
 			t.Fatalf("%s: malformed weights evaluated without error", mode)
 		}
@@ -391,15 +389,17 @@ func TestHistogramBuckets(t *testing.T) {
 func TestParseDistMode(t *testing.T) {
 	for s, want := range map[string]DistMode{
 		"": DistAuto, "auto": DistAuto, "dense": DistDense,
-		"stream": DistStream, "cache": DistCache,
+		"stream": DistStream,
 	} {
 		got, err := ParseDistMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseDistMode(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseDistMode("turbo"); err == nil {
-		t.Fatal("ParseDistMode accepted junk")
+	for _, junk := range []string{"turbo", "cache"} {
+		if _, err := ParseDistMode(junk); err == nil {
+			t.Fatalf("ParseDistMode accepted %q", junk)
+		}
 	}
 }
 
@@ -423,9 +423,6 @@ func TestOptionsSourcePrecedence(t *testing.T) {
 	if _, ok := mustSource((Options{DistMode: DistStream}).Source(g, apsp)).(*shortest.StreamSource); !ok {
 		t.Fatal("DistStream did not override the apsp argument")
 	}
-	if _, ok := mustSource((Options{DistMode: DistCache, CacheRows: 5}).Source(g, apsp)).(*shortest.CacheSource); !ok {
-		t.Fatal("DistCache did not override the apsp argument")
-	}
 	if src := mustSource((Options{}).Source(g, apsp)); src != shortest.DistanceSource(apsp) {
 		t.Fatal("auto mode ignored the provided dense table")
 	}
@@ -447,11 +444,6 @@ func TestSourceForWeighted(t *testing.T) {
 		t.Fatal(err)
 	} else if _, ok := src.(*shortest.StreamSource); !ok {
 		t.Fatalf("weighted stream mode resolved %T", src)
-	}
-	if src, err := (Options{DistMode: DistCache, CacheRows: 3}).SourceFor(g, w, nil); err != nil {
-		t.Fatal(err)
-	} else if _, ok := src.(*shortest.CacheSource); !ok {
-		t.Fatalf("weighted cache mode resolved %T", src)
 	}
 	if src, err := (Options{}).SourceFor(g, w, nil); err != nil {
 		t.Fatal(err)
@@ -485,9 +477,6 @@ func TestSourceForKernel(t *testing.T) {
 	}
 	if _, err := (Options{DistMode: DistStream, Kernel: shortest.KernelBatch}).SourceFor(g, w, nil); err == nil {
 		t.Fatal("weighted metric accepted the batch kernel (no Dijkstra batch exists)")
-	}
-	if _, err := (Options{DistMode: DistCache, Kernel: shortest.KernelBatch}).SourceFor(g, nil, nil); err == nil {
-		t.Fatal("cache mode accepted the batch kernel (rows are cached one at a time)")
 	}
 	if _, err := (Options{Kernel: shortest.Kernel(99)}).SourceFor(g, nil, nil); err == nil {
 		t.Fatal("unknown kernel resolved a backend instead of erroring")
@@ -535,7 +524,7 @@ func TestStretchStreamDisconnected(t *testing.T) {
 	// that delivers within each component; the cross-component pairs must
 	// then fail on the Unreachable distance, on every backend.
 	loop := funcScheme{}
-	for _, mode := range []DistMode{DistDense, DistStream, DistCache} {
+	for _, mode := range []DistMode{DistDense, DistStream} {
 		_, errM := Stretch(g, loop, nil, Options{DistMode: mode, Workers: 2})
 		if errM == nil {
 			t.Fatalf("%v: disconnected pair did not error", mode)

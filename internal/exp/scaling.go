@@ -32,8 +32,8 @@ func SetScalingLarge(v bool) { scalingLarge = v }
 // dense n² table: 16384² int32 entries are already 1 GiB.
 const denseCutoff = 16384
 
-// runE18 sweeps the evaluator's three distance backends (dense table,
-// per-worker streaming BFS, bounded row cache) over growing instances of
+// runE18 sweeps the evaluator's two distance backends (dense table,
+// per-worker streaming BFS) over growing instances of
 // the random and theorem1 families, for the two scheme regimes the paper
 // contrasts (tables: s=1, Θ(n log n) local bits; landmark: s<=3, o(n)).
 // Every backend must report identical stretch — that equality IS the
@@ -52,8 +52,8 @@ func runE18() ([]*Table, error) {
 		Title: "distance-backend scaling sweep (sampled stretch, per-backend memory/time)",
 		Note: "backends agree bit-for-bit on every report (conformance matrix);\n" +
 			"rows(1w)/distMiB: resident distance rows and their size at ONE worker — n for dense,\n" +
-			"1 for stream, cache capacity + 1 for cache; stream and cache add one row per extra\n" +
-			"worker. Pinned to one worker so the table is -workers-independent like every other\n" +
+			"1 for stream (64 under -kernel batch); stream adds that many rows per extra worker.\n" +
+			"Pinned to one worker so the table is -workers-independent like every other\n" +
 			"report. ms is wall time (machine-dependent; all other columns are deterministic).\n" +
 			"n > " + fmt.Sprint(denseCutoff) + " skips dense and builds landmark via NewStreamed.",
 		Columns: []string{"graph", "n", "scheme", "backend", "pairs", "stretch(max)", "stretch(mean)", "MEM_local", "rows(1w)", "distMiB", "ms"},
@@ -126,7 +126,7 @@ func runE18() ([]*Table, error) {
 				return nil, fmt.Errorf("E18 %s/%s: %w", w.name, schemeName, err)
 			}
 			mem := evaluate.Memory(g, s, evalOpt)
-			for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream, evaluate.DistCache} {
+			for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream} {
 				if mode == evaluate.DistDense && !denseOK {
 					continue
 				}
@@ -135,14 +135,6 @@ func runE18() ([]*Table, error) {
 				opts.Sample = w.sample
 				opts.Seed = 1
 				opts.Distances = nil
-				if mode == evaluate.DistCache {
-					// The cache backend caches rows one at a time, so it
-					// cannot serve the 64-row batch kernel (SourceFor rejects
-					// the combination). The sweep's cache column is defined
-					// as the scalar path; -kernel batch applies to the dense
-					// and stream columns.
-					opts.Kernel = shortest.KernelAuto
-				}
 				var denseArg *shortest.APSP
 				if mode == evaluate.DistDense {
 					denseArg = apsp

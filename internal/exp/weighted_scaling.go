@@ -17,9 +17,9 @@ func init() {
 	Register(Experiment{ID: "E19", Title: "weighted distance backends — beyond-RAM scaling under non-uniform arc costs", Run: runE19})
 }
 
-// runE19 is the weighted mirror of E18: it sweeps the evaluator's three
-// distance backends — dense weighted table, per-worker streaming
-// Dijkstra, bounded row cache — over growing random instances under
+// runE19 is the weighted mirror of E18: it sweeps the evaluator's two
+// distance backends — dense weighted table and per-worker streaming
+// Dijkstra — over growing random instances under
 // symmetric arc costs, for the two scheme regimes E18 contrasts
 // (minimum-cost tables: cost stretch 1; landmark: hop guarantee 3, cost
 // stretch recorded as measured). Every backend must report identical
@@ -60,7 +60,7 @@ func runE19() ([]*Table, error) {
 				return nil, fmt.Errorf("E19 n=%d/%s: %w", n, schemeName, err)
 			}
 			mem := evaluate.Memory(g, s, evalOpt)
-			for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream, evaluate.DistCache} {
+			for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream} {
 				opts := evalOpt
 				opts.DistMode = mode
 				opts.Sample = 20000

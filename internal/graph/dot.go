@@ -45,17 +45,18 @@ func (g *Graph) WriteDOT(w io.Writer, opt DOTOptions) error {
 		fmt.Fprintf(&b, "  n%d [label=\"%s\"%s];\n", u, label, attr)
 	}
 	for u := 0; u < g.Order(); u++ {
-		g.ForEachArc(NodeID(u), func(p Port, v NodeID) {
+		for i, v := range g.Arcs(NodeID(u)) {
 			if NodeID(u) > v {
-				return // each edge once
+				continue // each edge once
 			}
 			if opt.ShowPorts {
+				p := Port(i + 1)
 				fmt.Fprintf(&b, "  n%d -- n%d [taillabel=\"%d\", headlabel=\"%d\"];\n",
 					u, v, p, g.BackPort(NodeID(u), p))
 			} else {
 				fmt.Fprintf(&b, "  n%d -- n%d;\n", u, v)
 			}
-		})
+		}
 	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())

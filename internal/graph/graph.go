@@ -260,24 +260,14 @@ func (g *Graph) Neighbors(u NodeID, dst []NodeID) []NodeID {
 // Arcs returns the neighbors of u indexed by port-1: Arcs(u)[k-1] is the
 // endpoint of the arc leaving u through port k. This is the hot-loop arc
 // accessor — iterate with a plain `for i, v := range g.Arcs(u)` (the port
-// is i+1) instead of paying a closure call per arc through ForEachArc.
-// After Freeze the returned slice is a view into one contiguous CSR
-// arena shared by all vertices. The caller must not modify it.
+// is i+1). After Freeze the returned slice is a view into one contiguous
+// CSR arena shared by all vertices. The caller must not modify it.
 func (g *Graph) Arcs(u NodeID) []NodeID { return g.adj[u] }
 
 // BackPorts returns, indexed by port-1, the port each neighbor of u uses
 // for its reverse arc: BackPorts(u)[k-1] is the port of Arcs(u)[k-1]
 // leading back to u. Same layout and ownership rules as Arcs.
 func (g *Graph) BackPorts(u NodeID) []Port { return g.backPort[u] }
-
-// ForEachArc calls fn(port, neighbor) for every outgoing arc of u in port
-// order. It is a thin compatibility shim over Arcs for cold callers;
-// hot loops should range over Arcs/BackPorts directly.
-func (g *Graph) ForEachArc(u NodeID, fn func(p Port, v NodeID)) {
-	for i, v := range g.adj[u] {
-		fn(Port(i+1), v)
-	}
-}
 
 // Freeze compacts the adjacency into a frozen CSR core: one contiguous
 // neighbor array and one contiguous back-port array, rows laid out in

@@ -127,9 +127,9 @@ func (g *Graph) WritePorted(w io.Writer) error {
 	for u := 0; u < g.Order(); u++ {
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "%d", g.Degree(NodeID(u)))
-		g.ForEachArc(NodeID(u), func(p Port, v NodeID) {
+		for _, v := range g.Arcs(NodeID(u)) {
 			fmt.Fprintf(&sb, " %d", v)
-		})
+		}
 		sb.WriteByte('\n')
 		if _, err := bw.WriteString(sb.String()); err != nil {
 			return err

@@ -5,16 +5,15 @@ import (
 	"net"
 
 	"repro/internal/graph"
-	"repro/internal/serve"
 )
 
 // ShardMap partitions the router ID space [0,n) into k near-equal
 // contiguous slices: shard i owns [ceil(i*n/k), ceil((i+1)*n/k)).
 // Ownership keys on a query's source router, so a shard answers
 // exactly the queries its slice of routers would receive — and with a
-// streaming or cached distance backend it holds distance rows only for
-// sources it owns, which is the memory story of sharding: k shards at
-// O(workers*n) resident rows each, never the n^2 table anywhere.
+// streaming distance backend it holds distance rows only for sources it
+// owns, which is the memory story of sharding: k shards at O(workers*n)
+// resident rows each, never the n^2 table anywhere.
 type ShardMap struct {
 	N int // router count
 	K int // shard count
@@ -61,18 +60,10 @@ type Group struct {
 	addrs   []string
 }
 
-// ListenGroup starts k servers on 127.0.0.1 ephemeral ports. handler
-// is called once per shard index; opt applies to every shard.
-func ListenGroup(k int, handler func(shard int) BatchHandler, opt Options) (*Group, error) {
-	return ListenGroupInto(k, func(shard int) BatchHandlerInto {
-		h := handler(shard)
-		return func(qs []serve.Query, _ []serve.Result) []serve.Result { return h(qs) }
-	}, opt)
-}
-
-// ListenGroupInto is ListenGroup for allocation-lean handlers: each
-// shard server recycles its per-connection result buffers through the
-// handler (NewServerInto semantics).
+// ListenGroupInto starts k servers on 127.0.0.1 ephemeral ports.
+// handler is called once per shard index; opt applies to every shard.
+// Each shard server recycles its per-connection result buffers through
+// its handler (NewServerInto semantics).
 func ListenGroupInto(k int, handler func(shard int) BatchHandlerInto, opt Options) (*Group, error) {
 	g := &Group{}
 	for i := 0; i < k; i++ {

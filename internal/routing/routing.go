@@ -262,9 +262,9 @@ type StretchReport struct {
 
 // MeasureStretch routes every ordered pair and compares with shortest
 // distances. dists is any distance backend — a dense *shortest.APSP (the
-// default and the historical argument), a streaming or cached source —
-// or nil, in which case a dense table is computed. Backends return
-// bit-identical rows, so the choice never changes the report.
+// default and the historical argument) or a streaming source — or nil,
+// in which case a dense table is computed. Backends return bit-identical
+// rows, so the choice never changes the report.
 //
 // This is the serial reference implementation; the worker-pool engine in
 // internal/evaluate produces bit-identical reports (and histograms, hop

@@ -31,13 +31,12 @@ func (s *greedyScheme) Port(x graph.NodeID, h Header) graph.Port {
 		return graph.NoPort
 	}
 	d := s.apsp.Dist(x, dst)
-	var chosen graph.Port
-	s.g.ForEachArc(x, func(p graph.Port, w graph.NodeID) {
-		if chosen == graph.NoPort && s.apsp.Dist(w, dst)+1 == d {
-			chosen = p
+	for i, w := range s.g.Arcs(x) {
+		if s.apsp.Dist(w, dst)+1 == d {
+			return graph.Port(i + 1)
 		}
-	})
-	return chosen
+	}
+	return graph.NoPort
 }
 
 // loopScheme always forwards on port 1 and never delivers: exercises the

@@ -11,7 +11,7 @@ import (
 // NewStreamed builds the scheme bit-identically to New — same landmarks,
 // nearest assignments, ports, clusters, address paths and LocalBits for
 // the same Options — without ever materializing the n² distance table.
-// It is the construction path behind `-distmode stream|cache` at orders
+// It is the construction path behind `-distmode stream` at orders
 // where the dense table no longer fits in RAM.
 //
 // The trick is to turn every column access of New into a read of some

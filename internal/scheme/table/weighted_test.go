@@ -14,13 +14,13 @@ import (
 func randomWeights(g *graph.Graph, r *xrand.Rand, maxW int) shortest.Weights {
 	w := shortest.UniformWeights(g)
 	for u := 0; u < g.Order(); u++ {
-		g.ForEachArc(graph.NodeID(u), func(p graph.Port, v graph.NodeID) {
-			if graph.NodeID(u) < v {
+		for i, v := range g.Arcs(graph.NodeID(u)) {
+			if p := graph.Port(i + 1); graph.NodeID(u) < v {
 				c := int32(r.Intn(maxW) + 1)
 				w[u][p-1] = c
 				w[v][g.BackPort(graph.NodeID(u), p)-1] = c
 			}
-		})
+		}
 	}
 	return w
 }

@@ -51,8 +51,7 @@ func assertSameRoutes(t *testing.T, g *graph.Graph, want, got routing.Scheme) {
 }
 
 // TestFileV2RoundTrip pins the heap path of the v2 container for every
-// scheme kind: ReadFile dispatches on the magic, returns an
-// identically-routing scheme, and re-framing what was loaded
+// scheme kind: ReadFile returns an identically-routing scheme, and re-framing what was loaded
 // reproduces the accepted file byte-for-byte (the container-level
 // canonicality claim).
 func TestFileV2RoundTrip(t *testing.T) {
@@ -138,18 +137,47 @@ func TestOpenMappedBackings(t *testing.T) {
 			t.Fatalf("DisableMmap=%v: close: %v", opt.DisableMmap, err)
 		}
 	}
-	// A v1 file must be refused by the mapped opener with a pointed
-	// error, not misparsed.
-	v1 := filepath.Join(t.TempDir(), "scheme.rsf1")
-	var buf bytes.Buffer
-	if err := WriteFile(&buf, ts.g, ts.s); err != nil {
+}
+
+// v1Image frames ts the way the retired v1 container did: magic "RSF1",
+// then the ported graph and the scheme blob, each uvarint-length
+// prefixed.
+func v1Image(t *testing.T, ts testScheme) []byte {
+	t.Helper()
+	var gb bytes.Buffer
+	if err := ts.g.WritePorted(&gb); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(v1, buf.Bytes(), 0o644); err != nil {
+	enc, err := Encode(ts.g, ts.s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMapped(v1); err == nil || !strings.Contains(err.Error(), "memory-mapped") {
-		t.Fatalf("v1 via OpenMapped: got err %v", err)
+	out := []byte("RSF1")
+	for _, section := range [][]byte{gb.Bytes(), enc.Bytes} {
+		out = binary.AppendUvarint(out, uint64(len(section)))
+		out = append(out, section...)
+	}
+	return out
+}
+
+// TestV1ContainerRefused pins that every reader refuses a v1 image with
+// the same explicit error instead of misparsing it: the heap reader, the
+// in-memory mapped reader and the file opener.
+func TestV1ContainerRefused(t *testing.T) {
+	data := v1Image(t, testSchemes(t)[0])
+	const want = "v1 container is no longer supported"
+	if _, _, err := ReadFile(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadFile: got err %v, want %q", err, want)
+	}
+	if _, err := MapBytes(data); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("MapBytes: got err %v, want %q", err, want)
+	}
+	path := filepath.Join(t.TempDir(), "scheme.rsf1")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenMapped: got err %v, want %q", err, want)
 	}
 }
 
@@ -248,4 +276,57 @@ func TestFileV2Rejects(t *testing.T) {
 		second := b[ioff+24:]
 		binary.LittleEndian.PutUint64(second, binary.LittleEndian.Uint64(second)+1)
 	})
+}
+
+// TestIndexSkewRejectedEveryKind pins that a container whose INDEX is
+// monotone and in bounds but not the one its scheme encodes to is
+// rejected for every scheme kind, by ReadFile and by the mapped reader
+// (Verify and lazy first touch alike). Only table containers slice
+// their payload by the index; for the whole-payload kinds the index
+// must be re-derived from the decoded scheme, or two files would alias
+// one scheme.
+func TestIndexSkewRejectedEveryKind(t *testing.T) {
+	for _, ts := range testSchemes(t) {
+		t.Run(ts.name, func(t *testing.T) {
+			data := writeV2(t, ts)
+			ioff := binary.LittleEndian.Uint64(data[8+48:])
+			n := ts.g.Order()
+			offAt := func(i int) uint64 { return binary.LittleEndian.Uint64(data[ioff+16+8*uint64(i):]) }
+			// Move the first interior offset that can go up by one
+			// without breaking monotonicity. Kinds whose router spans are
+			// all empty (kn-friendly, ecube) have no such offset; there
+			// the first offset moves down into the wire header instead.
+			skew, newOff := 0, offAt(0)-1
+			for i := 1; i < n; i++ {
+				if offAt(i) < offAt(i+1) {
+					skew, newOff = i, offAt(i)+1
+					break
+				}
+			}
+			bad := append([]byte{}, data...)
+			binary.LittleEndian.PutUint64(bad[ioff+16+8*uint64(skew):], newOff)
+			refreshCRCs(bad)
+
+			if _, _, err := ReadFile(bytes.NewReader(bad)); err == nil {
+				t.Fatal("ReadFile accepted a skewed index")
+			}
+			m, err := MapBytes(bad)
+			if err != nil {
+				return // refused at open: stricter than required
+			}
+			verr := m.Verify()
+			m.Close()
+			if verr == nil {
+				t.Fatal("MapBytes+Verify accepted a skewed index")
+			}
+			m, err = MapBytes(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if _, err := routing.Route(m.Graph(), m.Scheme(), 0, graph.NodeID(n-1), 0); err == nil {
+				t.Fatal("first touch of a skewed-index scheme routed without error")
+			}
+		})
+	}
 }

@@ -201,9 +201,7 @@ func FuzzDecodeHeader(f *testing.F) {
 
 // FuzzReadFile exercises the file container end to end: junk must be
 // rejected, and anything accepted must hold a Validate-clean graph and
-// a routable scheme. Every input is also pushed through the v2
-// streaming reader's dispatch (a v1 seed corpus keeps the v1 branch
-// hot; crossover mutates magics freely).
+// a routable scheme.
 func FuzzReadFile(f *testing.F) {
 	g := fuzzGraph()
 	s, err := table.New(g, nil, table.MinPort)
@@ -211,7 +209,7 @@ func FuzzReadFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFile(&buf, g, s); err != nil {
+	if err := WriteFileV2(&buf, g, s); err != nil {
 		f.Fatal(err)
 	}
 	addMutations(f, buf.Bytes())
@@ -238,8 +236,8 @@ func FuzzReadFile(f *testing.F) {
 // verdict on arbitrary bytes: both must agree on accept/reject without
 // panicking, an accepted image must re-frame byte-identically through
 // WriteFileV2, and the mapped scheme must route exactly like the heap
-// one. Seeds cover a valid v2 image, its mutations, and a v1 file
-// (which the mapped opener must refuse by version dispatch).
+// one. Seeds cover a valid table image, its mutations, and a valid
+// landmark image (the whole-payload lazy path).
 func FuzzReadFileMapped(f *testing.F) {
 	g := fuzzGraph()
 	s, err := table.New(g, nil, table.MinPort)
@@ -251,14 +249,18 @@ func FuzzReadFileMapped(f *testing.F) {
 		f.Fatal(err)
 	}
 	addMutations(f, v2.Bytes())
-	var v1 bytes.Buffer
-	if err := WriteFile(&v1, g, s); err != nil {
+	lm, err := landmark.New(g, nil, landmark.Options{Seed: 3})
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
+	var lv2 bytes.Buffer
+	if err := WriteFileV2(&lv2, g, lm); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lv2.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hg, hs, herr := ReadFile(bytes.NewReader(data))
-		heapOK := herr == nil && len(data) > 0 && data[0] == 'R' && len(data) > 3 && data[3] == '2'
+		heapOK := herr == nil
 		m, merr := MapBytes(data)
 		if merr == nil {
 			if verr := m.Verify(); verr != nil {

@@ -1,6 +1,7 @@
 package schemeio
 
-// Mapped is the zero-copy v2 container reader. Where ReadFile
+// Mapped is the zero-copy v2 container reader, and the one container
+// parser: ReadFile is MapBytes plus an eager decodeWhole. Where ReadFile
 // materializes everything before returning, OpenMapped does O(index)
 // work up front — directory, checksummed graph and index sections, and
 // the scheme wire header — and defers the scheme payload entirely: the
@@ -162,12 +163,9 @@ func MapBytes(data []byte) (*Mapped, error) {
 // openMapped does the eager part of an open: directory, padding,
 // graph + index sections (checksummed), scheme wire header sanity.
 func openMapped(b backing, size int64) (*Mapped, error) {
-	hdr, err := b.view(0, v2DirSize)
+	hdr, err := b.view(0, min(size, v2DirSize))
 	if err != nil {
 		return nil, fmt.Errorf("schemeio: v2 directory: %w", err)
-	}
-	if [4]byte(hdr[:4]) == fileMagic {
-		return nil, fmt.Errorf("schemeio: v1 container cannot be memory-mapped; re-save as v2 or load without -mmap")
 	}
 	l, err := parseV2Directory(hdr, size)
 	if err != nil {
@@ -259,8 +257,7 @@ func openMapped(b backing, size int64) (*Mapped, error) {
 	case KindInterval, KindTree, KindLandmark, KindKnFriendly, KindKnAdversarial, KindECube:
 		// Schemes with shared sections (landmark epilogues, label
 		// permutations) cannot be row-sliced; they stay whole-payload
-		// lazy: nothing decoded until first touch, then one full Decode
-		// with its canonicality gate.
+		// lazy: nothing decoded until first touch, then one decodeWhole.
 		m.s = &lazyWhole{m: m}
 	default:
 		return nil, fmt.Errorf("schemeio: unknown scheme kind %d", wh.Kind)
@@ -330,10 +327,36 @@ func (m *Mapped) Verify() error {
 // caveat with mmap backings.
 func (m *Mapped) Close() error { return m.b.close() }
 
-// lazyWhole defers a non-table scheme until first touch: one full
-// Decode (canonicality gate included) guarded by a sync.Once. A failed
-// decode poisons the scheme — every port answer is NoPort, surfacing
-// as per-route errors, never a panic.
+// decodeWhole decodes the entire scheme payload: checksum and padding
+// (payloadBytes), the payload decode with its canonicality gate, and
+// the index re-derivation — the persisted INDEX must be exactly the one
+// the decoded scheme encodes to, or two containers would alias one
+// scheme. It is the one whole-payload decode behind ReadFile and the
+// lazy non-table schemes.
+func (m *Mapped) decodeWhole() (routing.Scheme, error) {
+	blob, err := m.payloadBytes()
+	if err != nil {
+		return nil, err
+	}
+	s, enc, err := decode(blob, m.g)
+	if err != nil {
+		return nil, err
+	}
+	if enc.PayloadBits != m.payloadBits {
+		return nil, fmt.Errorf("schemeio: index declares %d payload bits, scheme encodes to %d", m.payloadBits, enc.PayloadBits)
+	}
+	for i, off := range enc.RouterOffs {
+		if uint64(off) != m.offs[i] {
+			return nil, fmt.Errorf("schemeio: index offset %d is %d, scheme encodes router span at %d", i, m.offs[i], off)
+		}
+	}
+	return s, nil
+}
+
+// lazyWhole defers a non-table scheme until first touch: one
+// decodeWhole guarded by a sync.Once. A failed decode poisons the
+// scheme — every port answer is NoPort, surfacing as per-route errors,
+// never a panic.
 type lazyWhole struct {
 	m    *Mapped
 	once sync.Once
@@ -342,14 +365,7 @@ type lazyWhole struct {
 }
 
 func (l *lazyWhole) resolve() (routing.Scheme, error) {
-	l.once.Do(func() {
-		blob, err := l.m.payloadBytes()
-		if err != nil {
-			l.err = err
-			return
-		}
-		l.s, l.err = Decode(blob, l.m.g)
-	})
+	l.once.Do(func() { l.s, l.err = l.m.decodeWhole() })
 	return l.s, l.err
 }
 

@@ -31,11 +31,8 @@
 package schemeio
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/coding"
 	"repro/internal/graph"
@@ -178,13 +175,21 @@ func DecodeHeader(data []byte) (coding.WireHeader, error) {
 // bit-identically to the encoded one and is read-only: safe for any
 // number of concurrent readers.
 func Decode(data []byte, g *graph.Graph) (routing.Scheme, error) {
+	s, _, err := decode(data, g)
+	return s, err
+}
+
+// decode is Decode that also returns the canonical re-encoding its gate
+// built, so the container reader can check the persisted index against
+// it without encoding the scheme a second time.
+func decode(data []byte, g *graph.Graph) (routing.Scheme, *Encoded, error) {
 	r := coding.NewBitReader(data, len(data)*8)
 	hdr, err := r.ReadWireHeader()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if hdr.Order != g.Order() {
-		return nil, fmt.Errorf("schemeio: blob is for order %d, graph has order %d", hdr.Order, g.Order())
+		return nil, nil, fmt.Errorf("schemeio: blob is for order %d, graph has order %d", hdr.Order, g.Order())
 	}
 	var s routing.Scheme
 	switch hdr.Kind {
@@ -203,15 +208,15 @@ func Decode(data []byte, g *graph.Graph) (routing.Scheme, error) {
 	case KindECube:
 		s, err = ecube.DecodePayload(r, g)
 	case KindDelta:
-		return nil, fmt.Errorf("schemeio: kind delta is a generation patch, not a standalone scheme (use DecodeDelta)")
+		return nil, nil, fmt.Errorf("schemeio: kind delta is a generation patch, not a standalone scheme (use DecodeDelta)")
 	default:
-		return nil, fmt.Errorf("schemeio: unknown scheme kind %d", hdr.Kind)
+		return nil, nil, fmt.Errorf("schemeio: unknown scheme kind %d", hdr.Kind)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if r.Remaining() >= 8 {
-		return nil, fmt.Errorf("schemeio: %d trailing bytes after payload", r.Remaining()/8)
+		return nil, nil, fmt.Errorf("schemeio: %d trailing bytes after payload", r.Remaining()/8)
 	}
 	// The sub-byte tail must be the encoder's zero padding: accepting a
 	// set pad bit would let two distinct byte strings alias one scheme,
@@ -219,10 +224,10 @@ func Decode(data []byte, g *graph.Graph) (routing.Scheme, error) {
 	for r.Remaining() > 0 {
 		b, err := r.ReadBit()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if b != 0 {
-			return nil, fmt.Errorf("schemeio: nonzero padding bit after payload")
+			return nil, nil, fmt.Errorf("schemeio: nonzero padding bit after payload")
 		}
 	}
 	// Canonicality gate: re-encode the decoded scheme and require the
@@ -235,115 +240,10 @@ func Decode(data []byte, g *graph.Graph) (routing.Scheme, error) {
 	// load-once serve-many lifecycle this package exists for.
 	re, err := Encode(g, s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !bytes.Equal(re.Bytes, data) {
-		return nil, fmt.Errorf("schemeio: blob is not the canonical encoding of its scheme")
+		return nil, nil, fmt.Errorf("schemeio: blob is not the canonical encoding of its scheme")
 	}
-	return s, nil
-}
-
-// fileMagic opens the scheme-file container: a ported graph dump plus a
-// scheme blob, each length-prefixed, so one file round-trips everything
-// a server needs (the exact port labeling included — adversarial
-// labelings are payload here, not noise).
-var fileMagic = [4]byte{'R', 'S', 'F', '1'}
-
-// MaxFileSection caps each length-prefixed section of a scheme file.
-// Both lengths are attacker-controlled; without the cap a 16-byte file
-// could demand a multi-gigabyte allocation before the first parse error.
-const MaxFileSection = 1 << 28
-
-// WriteFile frames g (ported serialization, exact labeling) and s
-// (Encode) into one stream.
-func WriteFile(w io.Writer, g *graph.Graph, s routing.Scheme) error {
-	enc, err := Encode(g, s)
-	if err != nil {
-		return err
-	}
-	return WriteFileEncoded(w, g, enc)
-}
-
-// WriteFileEncoded is WriteFile for a caller that already holds the
-// encoded blob (routeserve encodes once for its size report and saves
-// the same bytes), so the scheme is never serialized twice.
-func WriteFileEncoded(w io.Writer, g *graph.Graph, enc *Encoded) error {
-	var gb bytes.Buffer
-	if err := g.WritePorted(&gb); err != nil {
-		return err
-	}
-	if _, err := w.Write(fileMagic[:]); err != nil {
-		return err
-	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	for _, section := range [][]byte{gb.Bytes(), enc.Bytes} {
-		k := binary.PutUvarint(lenBuf[:], uint64(len(section)))
-		if _, err := w.Write(lenBuf[:k]); err != nil {
-			return err
-		}
-		if _, err := w.Write(section); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadFile parses a stream written by WriteFile or WriteFileV2,
-// returning the graph and the decoded scheme bound to it. The container
-// version is dispatched explicitly on the magic — "RSF1" takes the v1
-// streaming path, "RSF2" the v2 sectioned path, anything else is an
-// error (version skew never degrades into a misparse). Malformed files
-// error without panicking or allocating beyond the per-section caps.
-func ReadFile(r io.Reader) (*graph.Graph, routing.Scheme, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return nil, nil, fmt.Errorf("schemeio: file magic: %w", err)
-	}
-	switch {
-	case [4]byte(magic) == fileMagic:
-		return readFileV1(br)
-	case [4]byte(magic) == v2Magic:
-		return readFileV2(br)
-	default:
-		return nil, nil, fmt.Errorf("schemeio: bad file magic %q", magic)
-	}
-}
-
-// readFileV1 parses the v1 streaming container (magic still unread).
-func readFileV1(br *bufio.Reader) (*graph.Graph, routing.Scheme, error) {
-	if _, err := br.Discard(4); err != nil {
-		return nil, nil, err
-	}
-	readSection := func(what string) ([]byte, error) {
-		length, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("schemeio: %s length: %w", what, err)
-		}
-		if length > MaxFileSection {
-			return nil, fmt.Errorf("schemeio: %s section of %d bytes exceeds limit %d", what, length, MaxFileSection)
-		}
-		buf := make([]byte, length)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("schemeio: %s section: %w", what, err)
-		}
-		return buf, nil
-	}
-	gb, err := readSection("graph")
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := graph.ReadPorted(bytes.NewReader(gb))
-	if err != nil {
-		return nil, nil, err
-	}
-	sb, err := readSection("scheme")
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := Decode(sb, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, s, nil
+	return s, re, nil
 }

@@ -2,6 +2,7 @@ package schemeio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -154,19 +155,24 @@ func TestRoundTripStable(t *testing.T) {
 	}
 }
 
-// TestFileRoundTrip pins the container: WriteFile then ReadFile yields
-// a graph with the identical ported serialization and a scheme that
-// routes identically (spot-checked; full identity is TestRoundTripStable).
+// TestFileRoundTrip pins the container: WriteFileV2 then ReadFile
+// yields a graph with the identical ported serialization and a heap
+// scheme that routes identically (spot-checked; full identity is
+// TestRoundTripStable). Table containers must load as *table.Scheme —
+// the type routeserve's -kill and -applydelta paths assert.
 func TestFileRoundTrip(t *testing.T) {
 	for _, ts := range testSchemes(t) {
 		t.Run(ts.name, func(t *testing.T) {
 			var f bytes.Buffer
-			if err := WriteFile(&f, ts.g, ts.s); err != nil {
+			if err := WriteFileV2(&f, ts.g, ts.s); err != nil {
 				t.Fatal(err)
 			}
 			g2, s2, err := ReadFile(bytes.NewReader(f.Bytes()))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if _, ok := s2.(*table.Scheme); ok != (ts.kind == KindTable) {
+				t.Fatalf("ReadFile returned %T for kind %s", s2, KindName(ts.kind))
 			}
 			var a, b bytes.Buffer
 			if err := ts.g.WritePorted(&a); err != nil {
@@ -306,16 +312,19 @@ func (unknownScheme) Name() string                                         { ret
 func TestFileRejects(t *testing.T) {
 	ts := testSchemes(t)[0]
 	var f bytes.Buffer
-	if err := WriteFile(&f, ts.g, ts.s); err != nil {
+	if err := WriteFileV2(&f, ts.g, ts.s); err != nil {
 		t.Fatal(err)
 	}
 	data := f.Bytes()
-	if _, _, err := ReadFile(bytes.NewReader([]byte("XXXX"))); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("bad magic: got err %v", err)
+	for _, junk := range []string{"XX", "XXXX", strings.Repeat("X", 200)} {
+		if _, _, err := ReadFile(strings.NewReader(junk)); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("bad magic (%d bytes): got err %v", len(junk), err)
+		}
 	}
 	// A section length over the cap must be rejected before allocating.
-	huge := append([]byte{}, fileMagic[:]...)
-	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f) // uvarint far over MaxFileSection
+	huge := append([]byte{}, data...)
+	binary.LittleEndian.PutUint64(huge[8+24+8:], MaxFileSection+1)
+	refreshCRCs(huge)
 	if _, _, err := ReadFile(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized section: got err %v", err)
 	}

@@ -64,14 +64,9 @@ func (h *HotServer) Server() *Server {
 	return h.cur.Load().sv
 }
 
-// ServeBatch answers every query in qs against one consistent
-// generation and reports which one it was.
-func (h *HotServer) ServeBatch(qs []Query) ([]Result, uint64) {
-	return h.ServeBatchInto(qs, nil)
-}
-
-// ServeBatchInto is ServeBatch with a caller-recycled result buffer.
-// The generation pointer is loaded exactly once, before the first
+// ServeBatchInto answers every query in qs against one consistent
+// generation, reusing out for the results, and reports which generation
+// it was. The generation pointer is loaded exactly once, before the first
 // query; a Swap landing mid-batch has no effect on this batch.
 //
 //repolint:hotpath

@@ -202,7 +202,7 @@ func (r *lazyReader) Err() error { return r.err }
 
 // New returns a server for scheme fn on g. src supplies the oracle
 // distances of OpStretch queries (shortest.DistanceSource: a dense
-// table, a streaming or a cached backend all work — each worker gets
+// table or a streaming backend both work — each worker gets
 // its own reader); nil disables OpStretch with a per-query error.
 func New(g *graph.Graph, fn routing.Function, src shortest.DistanceSource, opt Options) *Server {
 	g.Freeze() // serial point: batch workers only read the CSR arcs

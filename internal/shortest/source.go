@@ -1,24 +1,22 @@
 package shortest
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 )
 
 // DistanceSource abstracts WHERE exact distance rows come from — a dense
-// precomputed table, per-row recomputation, or a bounded row cache —
-// without changing WHAT a measurement sees: every backend returns
-// bit-identical rows (a row is a pure function of graph, metric and
-// source — BFS for the hop metric, Dijkstra under a weight assignment
-// for the weighted one), so any report built on one backend is
-// bit-identical to the same report built on any other. This is what lets
-// the all-pairs evaluator in internal/evaluate trade the O(n²) table for
-// O(workers·n) resident rows on graphs past RAM while keeping the
-// EXPERIMENTS.md determinism contract intact, in both metrics.
+// precomputed table or per-row recomputation — without changing WHAT a
+// measurement sees: every backend returns bit-identical rows (a row is a
+// pure function of graph, metric and source — BFS for the hop metric,
+// Dijkstra under a weight assignment for the weighted one), so any
+// report built on one backend is bit-identical to the same report built
+// on the other. This is what lets the all-pairs evaluator in
+// internal/evaluate trade the O(n²) table for O(workers·n) resident rows
+// on graphs past RAM while keeping the EXPERIMENTS.md determinism
+// contract intact, in both metrics.
 type DistanceSource interface {
 	// Order is the number of vertices covered by the source.
 	Order() int
@@ -31,8 +29,7 @@ type DistanceSource interface {
 	// n-entry int32 rows the source keeps resident when read by the
 	// given number of concurrent readers (workers <= 0 selects
 	// GOMAXPROCS). Dense tables answer n regardless of workers;
-	// streaming answers one row per worker; caches answer their
-	// capacity plus in-flight rows.
+	// streaming answers one row (or one aligned block) per worker.
 	ResidentRows(workers int) int
 }
 
@@ -82,7 +79,7 @@ func (a *APSP) ResidentRows(workers int) int { return a.n }
 var _ DistanceSource = (*APSP)(nil)
 var _ RowReader = (*APSP)(nil)
 
-// --- row kernels: the metric behind a streaming or cached source ---
+// --- row kernels: the metric behind a streaming source ---
 
 // RowFunc computes the distance row from src into dist — reusing dist
 // when it is large enough, allocating a fresh row otherwise (dist may be
@@ -91,7 +88,7 @@ var _ RowReader = (*APSP)(nil)
 // create one per reader via a rowKernel factory.
 type RowFunc func(src graph.NodeID, dist []int32) []int32
 
-// rowKernel is what parameterizes the generic streaming/caching sources
+// rowKernel is what parameterizes the generic streaming source
 // by metric: the unweighted kernel recomputes rows by BFS, the weighted
 // one by Dijkstra under a validated weight assignment. Both are pure
 // per-row functions of (graph[, weights], source), which is exactly the
@@ -275,139 +272,3 @@ func (r *streamReader) Row(src graph.NodeID) []int32 {
 }
 
 var _ DistanceSource = (*StreamSource)(nil)
-
-// --- cached backend: a bounded LRU of rows ---
-
-// CacheSource keeps the most recently used distance rows in a bounded
-// LRU shared by all readers. It targets sampled evaluation and workloads
-// that revisit rows (repeated measurements, locality-heavy pair sets):
-// resident distance memory is min(capacity, n) rows plus the rows being
-// computed, and — like every backend — the rows it returns are
-// bit-identical to a dense table's, so cache hits and evictions can never
-// change a report, only its speed. Like StreamSource, the row kernel is
-// BFS under NewCacheSource and Dijkstra under NewWeightedCacheSource.
-type CacheSource struct {
-	n      int
-	cap    int
-	kernel rowKernel
-
-	mu   sync.Mutex
-	rows map[graph.NodeID]*list.Element
-	lru  *list.List // front = most recently used
-}
-
-type cacheRow struct {
-	src graph.NodeID
-	row []int32
-}
-
-// DefaultCacheRows is the row capacity NewCacheSource uses when the
-// caller passes capacity <= 0.
-const DefaultCacheRows = 64
-
-// NewCacheSource returns a cached source of BFS (hop metric) rows over g
-// holding at most capacity rows (capacity <= 0 selects DefaultCacheRows).
-func NewCacheSource(g *graph.Graph, capacity int) *CacheSource {
-	g.Freeze()
-	return newCacheSource(g.Order(), capacity, bfsKernel(g))
-}
-
-// NewWeightedCacheSource returns a cached source of Dijkstra rows under
-// w, with the same LRU residency contract as NewCacheSource. Weights are
-// validated here, before any reader exists.
-func NewWeightedCacheSource(g *graph.Graph, w Weights, capacity int) (*CacheSource, error) {
-	if err := w.Validate(g); err != nil {
-		return nil, err
-	}
-	g.Freeze()
-	return newCacheSource(g.Order(), capacity, dijkstraKernel(g, w)), nil
-}
-
-func newCacheSource(n, capacity int, k rowKernel) *CacheSource {
-	if capacity <= 0 {
-		capacity = DefaultCacheRows
-	}
-	return &CacheSource{
-		n:      n,
-		cap:    capacity,
-		kernel: k,
-		rows:   make(map[graph.NodeID]*list.Element, capacity),
-		lru:    list.New(),
-	}
-}
-
-// Order implements DistanceSource.
-func (c *CacheSource) Order() int { return c.n }
-
-// Capacity returns the row capacity.
-func (c *CacheSource) Capacity() int { return c.cap }
-
-// NewReader implements DistanceSource. Readers share the cache; each
-// keeps a reference to its current row, so a row evicted while still in
-// use stays alive for that reader (rows are immutable once computed).
-// Each reader also owns its compute kernel, so misses recompute with
-// per-reader scratch and never contend on anything but the LRU lock.
-func (c *CacheSource) NewReader() RowReader { return &cacheReader{c: c, compute: c.kernel()} }
-
-// ResidentRows implements DistanceSource: the capacity plus up to one
-// in-flight row per reader, never more than n.
-func (c *CacheSource) ResidentRows(workers int) int {
-	r := c.cap + normWorkers(workers)
-	if r > c.n {
-		r = c.n
-	}
-	return r
-}
-
-// row returns the cached row for src, computing it with the calling
-// reader's kernel and inserting it on a miss. The traversal runs outside
-// the lock so misses on different rows proceed in parallel; when two
-// readers miss the same row concurrently, the second insert wins and the
-// first row lives on with its reader — both slices hold identical values.
-func (c *CacheSource) row(src graph.NodeID, compute RowFunc) []int32 {
-	c.mu.Lock()
-	if e, ok := c.rows[src]; ok {
-		c.lru.MoveToFront(e)
-		row := e.Value.(*cacheRow).row
-		c.mu.Unlock()
-		return row
-	}
-	c.mu.Unlock()
-
-	// nil dist: cached rows are retained and immutable, so each miss must
-	// materialize a fresh row (the kernel's internal scratch still reuses).
-	row := compute(src, nil)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.rows[src]; ok { // lost the race: adopt the winner
-		c.lru.MoveToFront(e)
-		return e.Value.(*cacheRow).row
-	}
-	for c.lru.Len() >= c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.rows, old.Value.(*cacheRow).src)
-	}
-	c.rows[src] = c.lru.PushFront(&cacheRow{src: src, row: row})
-	return row
-}
-
-type cacheReader struct {
-	c       *CacheSource
-	compute RowFunc
-	src     graph.NodeID
-	valid   bool
-	row     []int32
-}
-
-func (r *cacheReader) Row(src graph.NodeID) []int32 {
-	if r.valid && r.src == src {
-		return r.row
-	}
-	r.row = r.c.row(src, r.compute)
-	r.src, r.valid = src, true
-	return r.row
-}
-
-var _ DistanceSource = (*CacheSource)(nil)

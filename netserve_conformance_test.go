@@ -2,7 +2,7 @@
 // real TCP, real frames, real scatter/gather — must answer exactly
 // like the serial in-process serve.Server, for every cell of
 //
-//	shard count {1, 2, 5} x distance backend {dense, stream, cache}
+//	shard count {1, 2, 5} x distance backend {dense, stream}
 //	x scheme {tables, landmark},
 //
 // exhaustively over a small graph and sampled over a larger one. The
@@ -10,7 +10,7 @@
 // are serialized with netserve.EncodeResponse and compared byte for
 // byte, so answers, per-query error messages and the integer-only
 // stretch encoding must all agree — the network analogue of the
-// dense==stream==cache bit-identity the evaluator matrix pins.
+// dense==stream bit-identity the evaluator matrix pins.
 //
 // TestNetServeConcurrentRace is the serving race canary (8 client
 // goroutines against a 3-shard cluster with a concurrent graceful
@@ -77,7 +77,7 @@ func sampledPairs(n, count int, seed uint64) [][2]graph.NodeID {
 // shard owns its reader state exactly as a deployed cluster would.
 func netConfSource(t *testing.T, g *graph.Graph, apsp *shortest.APSP, mode evaluate.DistMode) shortest.DistanceSource {
 	t.Helper()
-	src, err := evaluate.Options{DistMode: mode, CacheRows: 32}.Source(g, apsp)
+	src, err := evaluate.Options{DistMode: mode}.Source(g, apsp)
 	if err != nil {
 		t.Fatalf("source (%v): %v", mode, err)
 	}
@@ -101,12 +101,12 @@ func netConfSchemes(t *testing.T, g *graph.Graph, apsp *shortest.APSP) map[strin
 // aggregator. Each shard gets its own distance source instance.
 func startLoopbackCluster(t *testing.T, g *graph.Graph, fn routing.Scheme, apsp *shortest.APSP, mode evaluate.DistMode, k int) (*netserve.Group, *netserve.Cluster) {
 	t.Helper()
-	group, err := netserve.ListenGroup(k, func(int) netserve.BatchHandler {
+	group, err := netserve.ListenGroupInto(k, func(int) netserve.BatchHandlerInto {
 		sv := serve.New(g, fn, netConfSource(t, g, apsp, mode), serve.Options{Workers: 2})
-		return sv.ServeBatch
+		return sv.ServeBatchInto
 	}, netserve.Options{})
 	if err != nil {
-		t.Fatalf("ListenGroup(%d): %v", k, err)
+		t.Fatalf("ListenGroupInto(%d): %v", k, err)
 	}
 	cluster, err := netserve.DialCluster(group.Addrs(), g.Order(), netserve.ClusterOptions{Deadline: 30 * time.Second})
 	if err != nil {
@@ -179,7 +179,7 @@ func TestNetServeConformanceMatrix(t *testing.T) {
 		apsp := shortest.NewAPSPParallel(g, 0)
 		qs := netConfQueries(shape.pairs(n))
 		for schemeName, fn := range netConfSchemes(t, g, apsp) {
-			for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream, evaluate.DistCache} {
+			for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream} {
 				// Serial baseline once per (scheme, backend): the cluster
 				// must reproduce it at every shard count.
 				serial := serve.New(g, fn, netConfSource(t, g, apsp, mode), serve.Options{Workers: 2}).ServeBatch(qs)

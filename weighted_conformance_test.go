@@ -4,7 +4,7 @@
 // weighted `-distmode stream` run replace the dense weighted table with
 // O(workers·n) Dijkstra rows without changing a single recorded number:
 //
-//   - weighted dense, streaming and cached backends produce bit-identical
+//   - weighted dense and streaming backends produce bit-identical
 //     evaluation reports at several worker counts, exhaustive and
 //     sampled, all equal to the serial routing.MeasureWeightedStretch;
 //   - the parallel weighted all-pairs table is bit-identical to the
@@ -47,8 +47,7 @@ func weightedConfSchemes(t *testing.T, f confFamily, w shortest.Weights, apsp *s
 	}
 }
 
-// TestWeightedConformanceMatrix asserts dense == stream == cache ==
-// serial for the weighted metric across the worker grid, exhaustive and
+// TestWeightedConformanceMatrix asserts dense == stream == serial for the weighted metric across the worker grid, exhaustive and
 // sampled, on every family.
 func TestWeightedConformanceMatrix(t *testing.T) {
 	for _, f := range confFamilies() {
@@ -142,7 +141,7 @@ func TestUniformWeightsReportEqualsUnweighted(t *testing.T) {
 			t.Fatalf("%s: %v", f.name, err)
 		}
 		w := shortest.UniformWeights(f.g)
-		for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream, evaluate.DistCache} {
+		for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream} {
 			opt := evaluate.Options{Workers: 2, DistMode: mode}
 			hop, err := evaluate.Stretch(f.g, lm, nil, opt)
 			if err != nil {
