@@ -80,26 +80,10 @@ func BenchmarkMSBFS(b *testing.B) {
 	}
 }
 
-// BenchmarkAPSPBatched measures all-pairs table construction with each
-// kernel pinned explicitly — the scalar-vs-batch comparison behind the
-// -kernel flag, at the same orders BenchmarkAPSP sweeps.
-func BenchmarkAPSPBatched(b *testing.B) {
-	for _, n := range []int{512, 4096} {
-		g := benchGraph(n)
-		for _, k := range []shortest.Kernel{shortest.KernelScalar, shortest.KernelBatch} {
-			b.Run(fmt.Sprintf("%s/n=%d", k, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					shortest.NewAPSPWith(g, shortest.APSPOptions{Kernel: k})
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAPSP measures all-pairs table construction, serial and
-// worker-pool, at the orders where Theorem 1 sweeps and the E18 ladder
-// spend their preprocessing time.
+// BenchmarkAPSP measures all-pairs table construction, serial (one BFS
+// per row) and worker-pool (64-source MS-BFS claims), at the orders
+// where Theorem 1 sweeps and the E18 ladder spend their preprocessing
+// time; the pair is the BFS-vs-MS-BFS build comparison.
 func BenchmarkAPSP(b *testing.B) {
 	for _, n := range []int{512, 4096} {
 		g := benchGraph(n)

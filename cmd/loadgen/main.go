@@ -316,7 +316,7 @@ func (r cellResult) benchmark(c cellConfig) benchmark {
 // other backend is per-shard so resident rows stay per-slice.
 func cellSource(c cellConfig) (shortest.DistanceSource, error) {
 	opt := evaluate.Options{Workers: c.workers, DistMode: c.mode}
-	if (c.mode == evaluate.DistAuto || c.mode == evaluate.DistDense) && c.apsp != nil {
+	if c.mode == evaluate.DistDense && c.apsp != nil {
 		return c.apsp, nil
 	}
 	return opt.Source(c.g, c.apsp)

@@ -14,17 +14,11 @@
 //
 // -distmode selects the distance backend of the evaluation (see
 // internal/shortest DistanceSource): dense precomputes the n^2 table,
-// stream recomputes one row per claimed source inside each worker
-// (O(workers*n) distance memory — the beyond-RAM mode). Both report
-// bit-identical numbers.
-//
-// -kernel picks the hop-metric row kernel: scalar runs one BFS per row,
-// batch runs 64 sources per word-parallel MS-BFS pass (shared arc
-// scans). Kernels return bit-identical rows; under -distmode stream the
-// batch kernel's readers hold a 64-row prefetch block each, and the
-// resident-rows line reports that honestly (O(workers*64*n) instead of
-// O(workers*n)). batch is rejected with -weighted (no Dijkstra batch
-// kernel exists) — an explicit error, never a silent fallback.
+// stream recomputes rows inside each worker (O(workers*n) distance
+// memory — the beyond-RAM mode). Both report bit-identical numbers.
+// A hop-metric stream worker scanning rows in order computes them 64 at
+// a time (one MS-BFS block), and the resident-rows line reports that
+// bound honestly: up to 64 rows per worker.
 //
 // -weighted switches the measured metric to cost stretch under symmetric
 // integer arc costs drawn uniformly from [1, -maxweight] off -seed
@@ -64,7 +58,6 @@ func main() {
 	sample := flag.Int("sample", 0, "measure only this many sampled ordered pairs (0 = exhaustive)")
 	sampleSeed := flag.Uint64("sampleseed", 1, "seed for -sample pair selection (independent of -seed)")
 	distmode := flag.String("distmode", "dense", "distance backend: dense|stream (stream never materializes the n^2 table)")
-	kernel := flag.String("kernel", "auto", "hop-metric row kernel: auto|scalar|batch (batch = 64-source MS-BFS; incompatible with -weighted)")
 	weighted := flag.Bool("weighted", false, "measure cost stretch under random symmetric arc costs instead of hop stretch")
 	maxWeight := flag.Int("maxweight", 8, "largest arc cost for -weighted (costs uniform on [1, maxweight], drawn off -seed)")
 	flag.Parse()
@@ -78,11 +71,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "memreq: %v\n", err)
 		os.Exit(2)
 	}
-	kern, err := cliutil.ParseKernelFlag(*kernel, *weighted)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "memreq: %v\n", err)
-		os.Exit(2)
-	}
 	g, ins, err := buildGraph(*family, *n, *eps, *seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "memreq: %v\n", err)
@@ -92,7 +80,7 @@ func main() {
 	if *weighted {
 		wts = shortest.RandomWeights(g, *maxWeight, xrand.New(*seed))
 	}
-	opt := evaluate.Options{Workers: *workers, Sample: *sample, Seed: *sampleSeed, DistMode: mode, Kernel: kern}
+	opt := evaluate.Options{Workers: *workers, Sample: *sample, Seed: *sampleSeed, DistMode: mode}
 	// The dense tables are the only O(n^2) objects of this pipeline: build
 	// them only in dense mode, where scheme construction and evaluation
 	// read them. Stream runs construct the scheme from BFS rows and
@@ -118,7 +106,7 @@ func main() {
 		}
 	}
 	if needHop {
-		apsp = shortest.NewAPSPWith(g, shortest.APSPOptions{Workers: opt.Workers, Kernel: kern})
+		apsp = shortest.NewAPSPParallel(g, opt.Workers)
 	}
 	// distTable is the dense table of the MEASURED metric (nil when
 	// streaming): the hop table built above, or the weighted one — built

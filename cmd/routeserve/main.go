@@ -338,7 +338,7 @@ func main() {
 	var sharedSrc shortest.DistanceSource
 	if apsp != nil {
 		sharedSrc = apsp
-	} else if mode == evaluate.DistAuto || mode == evaluate.DistDense {
+	} else if mode == evaluate.DistDense {
 		sharedSrc = serve.LazySource(g.Order(), func() shortest.DistanceSource {
 			resolved, err := opt.Source(g, nil)
 			if err != nil {

@@ -157,31 +157,29 @@ func TestEvaluatorWorkerCountsStreamRace(t *testing.T) {
 		for _, workers := range []int{2, 4, 8} {
 			for _, opt := range []evaluate.Options{
 				{Workers: workers, DistMode: evaluate.DistDense},
+				// The stream backend computes 64-row MS-BFS blocks and the
+				// evaluator claims 64-row-aligned chunks — same report,
+				// and under -race the concurrent-claim canary for the
+				// stream readers.
 				{Workers: workers, DistMode: evaluate.DistStream},
-				// The batched stream backend serves 64-row prefetch blocks
-				// and the evaluator claims 64-row-aligned chunks — same
-				// report, and under -race the concurrent-claim canary for
-				// the MS-BFS readers.
-				{Workers: workers, DistMode: evaluate.DistStream, Kernel: shortest.KernelBatch},
 			} {
 				rep, err := evaluate.Stretch(g, s, apsp, opt)
 				if err != nil {
-					t.Fatalf("%s: workers=%d mode=%s kernel=%s: %v", f.name, workers, opt.DistMode, opt.Kernel, err)
+					t.Fatalf("%s: workers=%d mode=%s: %v", f.name, workers, opt.DistMode, err)
 				}
 				if *rep != *ref {
-					t.Fatalf("%s: workers=%d mode=%s kernel=%s report differs from serial reference:\n%+v\nvs\n%+v",
-						f.name, workers, opt.DistMode, opt.Kernel, rep, ref)
+					t.Fatalf("%s: workers=%d mode=%s report differs from serial reference:\n%+v\nvs\n%+v",
+						f.name, workers, opt.DistMode, rep, ref)
 				}
 			}
 		}
 	}
 }
 
-// TestAPSPParallelMatchesSerial pins the table-construction contract
-// after the kernel switch: NewAPSPParallel (whose auto kernel now
-// resolves to the MS-BFS batch) stays bit-identical to the serial
-// scalar NewAPSP at every worker count, on every conformance family —
-// and so does each explicit kernel through NewAPSPWith.
+// TestAPSPParallelMatchesSerial pins the table-construction contract:
+// NewAPSPParallel's MS-BFS batch claims stay bit-identical to the serial
+// BFS-per-row NewAPSP at every worker count, on every conformance
+// family.
 func TestAPSPParallelMatchesSerial(t *testing.T) {
 	for _, f := range confFamilies() {
 		g := f.g
@@ -196,10 +194,6 @@ func TestAPSPParallelMatchesSerial(t *testing.T) {
 		}
 		for _, w := range []int{1, 3, 8} {
 			check(fmt.Sprintf("parallel workers=%d", w), shortest.NewAPSPParallel(g, w))
-			for _, k := range []shortest.Kernel{shortest.KernelScalar, shortest.KernelBatch} {
-				check(fmt.Sprintf("kernel=%s workers=%d", k, w),
-					shortest.NewAPSPWith(g, shortest.APSPOptions{Workers: w, Kernel: k}))
-			}
 		}
 	}
 }

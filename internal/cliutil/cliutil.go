@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/evaluate"
-	"repro/internal/shortest"
 )
 
 // ValidateEvalFlags checks the evaluation flags common to routelab and
@@ -35,27 +34,9 @@ func ValidateEvalFlags(workers, sample int) error {
 // -distmode string, returning the mode for evaluate.Options.
 func ParseEvalFlags(workers, sample int, distmode string) (evaluate.DistMode, error) {
 	if err := ValidateEvalFlags(workers, sample); err != nil {
-		return evaluate.DistAuto, err
+		return evaluate.DistDense, err
 	}
 	return evaluate.ParseDistMode(distmode)
-}
-
-// ParseKernelFlag resolves the -kernel string for the hop-metric
-// distance kernel (scalar BFS vs 64-source MS-BFS batch). A value
-// outside the known set {auto, scalar, batch} is an explicit error,
-// never a silent fallback — the same policy ParseEvalFlags applies to
-// -distmode. batch is a hop-metric kernel (Dijkstra rows share no
-// scans), so combining it with -weighted is rejected here, at flag
-// time, instead of failing deep inside a run.
-func ParseKernelFlag(kernel string, weighted bool) (shortest.Kernel, error) {
-	k, err := shortest.ParseKernel(kernel)
-	if err != nil {
-		return shortest.KernelAuto, err
-	}
-	if weighted && k == shortest.KernelBatch {
-		return shortest.KernelAuto, fmt.Errorf("-kernel batch serves only the hop metric (MS-BFS shares BFS arc scans); drop -weighted or use -kernel auto|scalar")
-	}
-	return k, nil
 }
 
 // ValidateServeFlags checks routeserve's serving flags: the batch size

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/evaluate"
-	"repro/internal/shortest"
 )
 
 func TestValidateEvalFlags(t *testing.T) {
@@ -44,7 +43,8 @@ func TestParseEvalFlags(t *testing.T) {
 	}{
 		{0, 0, "dense", evaluate.DistDense, ""},
 		{4, 1000, "stream", evaluate.DistStream, ""},
-		{0, 0, "", evaluate.DistAuto, ""},
+		{0, 0, "", evaluate.DistDense, ""},
+		{0, 0, "auto", 0, "distance mode"}, // the retired alias of dense
 		{-1, 0, "dense", 0, "-workers"},
 		{0, -1, "dense", 0, "-sample"},
 		{0, 0, "turbo", 0, "distance mode"},
@@ -117,37 +117,6 @@ func TestValidateWeightFlags(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Fatalf("ValidateWeightFlags(%v,%d) err = %v, want error mentioning %q", c.weighted, c.maxWeight, err, c.wantErr)
-		}
-	}
-}
-
-func TestParseKernelFlag(t *testing.T) {
-	cases := []struct {
-		kernel   string
-		weighted bool
-		want     shortest.Kernel
-		wantErr  string
-	}{
-		{"auto", false, shortest.KernelAuto, ""},
-		{"", false, shortest.KernelAuto, ""},
-		{"scalar", false, shortest.KernelScalar, ""},
-		{"batch", false, shortest.KernelBatch, ""},
-		{"scalar", true, shortest.KernelScalar, ""}, // weighted runs keep scalar
-		{"auto", true, shortest.KernelAuto, ""},
-		{"batch", true, shortest.KernelAuto, "-weighted"}, // no Dijkstra batch kernel
-		{"simd", false, shortest.KernelAuto, "kernel"},    // unknown: error, no fallback
-		{"BATCH", false, shortest.KernelAuto, "kernel"},   // spellings are exact
-	}
-	for _, c := range cases {
-		k, err := ParseKernelFlag(c.kernel, c.weighted)
-		if c.wantErr == "" {
-			if err != nil || k != c.want {
-				t.Fatalf("ParseKernelFlag(%q, %v) = %v, %v; want %v", c.kernel, c.weighted, k, err, c.want)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Fatalf("ParseKernelFlag(%q, %v) = %v, want error mentioning %q", c.kernel, c.weighted, err, c.wantErr)
 		}
 	}
 }

@@ -59,15 +59,11 @@ import (
 type DistMode int
 
 const (
-	// DistAuto uses the apsp argument when given and otherwise computes
-	// a dense table with the run's worker budget — the historical
-	// behavior and the default.
-	DistAuto DistMode = iota
-	// DistDense behaves like DistAuto; it exists so CLIs can spell the
-	// default explicitly.
-	DistDense
-	// DistStream recomputes each claimed source row with a per-worker
-	// BFS: O(workers·n) resident distance memory instead of O(n²), the
+	// DistDense, the default, uses the apsp argument when given and
+	// otherwise computes a dense table with the run's worker budget.
+	DistDense DistMode = iota
+	// DistStream recomputes claimed source rows inside each worker:
+	// O(workers·n) resident distance memory instead of O(n²), the
 	// beyond-RAM mode.
 	DistStream
 )
@@ -80,21 +76,20 @@ func (m DistMode) String() string {
 	case DistStream:
 		return "stream"
 	default:
-		return "auto"
+		return fmt.Sprintf("DistMode(%d)", int(m))
 	}
 }
 
-// ParseDistMode maps a -distmode flag value to a DistMode.
+// ParseDistMode maps a -distmode flag value to a DistMode; the empty
+// string selects the default, dense.
 func ParseDistMode(s string) (DistMode, error) {
 	switch s {
-	case "", "auto":
-		return DistAuto, nil
-	case "dense":
+	case "", "dense":
 		return DistDense, nil
 	case "stream":
 		return DistStream, nil
 	default:
-		return DistAuto, fmt.Errorf("evaluate: unknown distance mode %q (want dense or stream)", s)
+		return DistDense, fmt.Errorf("evaluate: unknown distance mode %q (want dense or stream)", s)
 	}
 }
 
@@ -120,14 +115,6 @@ type Options struct {
 	// flag takes effect even in runners that precomputed a dense table
 	// for scheme construction.
 	DistMode DistMode
-	// Kernel selects the hop-metric row kernel behind the backend this
-	// resolver builds: scalar one-BFS-per-row, or the word-parallel
-	// 64-source batch kernel (shortest.MSBFSInto). Rows are
-	// bit-identical either way, so the kernel moves time and resident
-	// rows, never the report. KernelBatch applies only where a batch
-	// kernel exists: the weighted metric rejects it explicitly — same
-	// no-silent-fallback policy as DistMode.
-	Kernel shortest.Kernel
 
 	// rowClaim is internal plumbing set by stretchPairs: the number of
 	// consecutive source rows one worker claim covers, so claims line
@@ -161,26 +148,18 @@ func (o Options) SourceFor(g *graph.Graph, w shortest.Weights, apsp *shortest.AP
 	if o.Distances != nil {
 		return o.Distances, nil
 	}
-	switch o.Kernel {
-	case shortest.KernelAuto, shortest.KernelScalar, shortest.KernelBatch:
-	default:
-		return nil, fmt.Errorf("evaluate: unknown distance kernel %d", int(o.Kernel))
-	}
-	if w != nil && o.Kernel == shortest.KernelBatch {
-		return nil, fmt.Errorf("evaluate: the batch (MS-BFS) kernel serves only the hop metric; use kernel auto or scalar for weighted runs")
-	}
 	switch o.DistMode {
-	case DistAuto, DistDense:
+	case DistDense:
 		if apsp != nil {
 			return apsp, nil
 		}
 		if w == nil {
-			return shortest.NewAPSPWith(g, shortest.APSPOptions{Workers: o.Workers, Kernel: o.Kernel}), nil
+			return shortest.NewAPSPParallel(g, o.Workers), nil
 		}
 		return shortest.NewWeightedAPSPParallel(g, w, o.Workers)
 	case DistStream:
 		if w == nil {
-			return shortest.NewStreamSourceKernel(g, o.Kernel)
+			return shortest.NewStreamSource(g), nil
 		}
 		return shortest.NewWeightedStreamSource(g, w)
 	}
@@ -584,10 +563,10 @@ func WeightedStretch(g *graph.Graph, r routing.Function, w shortest.Weights, aps
 	g.Freeze()
 	// Every backend the resolver BUILDS validates w itself; when the
 	// caller supplies the rows (explicit Distances, or a dense table in
-	// dense/auto mode) nothing downstream would, and the cost numerator
+	// dense mode) nothing downstream would, and the cost numerator
 	// indexes w inside pool workers — validate here so malformed weights
 	// are an error, never a worker panic.
-	if opt.Distances != nil || (apsp != nil && (opt.DistMode == DistAuto || opt.DistMode == DistDense)) {
+	if opt.Distances != nil || (apsp != nil && opt.DistMode == DistDense) {
 		if err := w.Validate(g); err != nil {
 			return nil, err
 		}

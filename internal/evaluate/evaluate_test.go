@@ -240,7 +240,7 @@ func TestWeightedStretchBackendParity(t *testing.T) {
 	// every mode — the replacement for the old silent dense fallback.
 	bad := shortest.UniformWeights(g)
 	bad[0] = bad[0][:0]
-	for _, mode := range []DistMode{DistAuto, DistStream} {
+	for _, mode := range []DistMode{DistDense, DistStream} {
 		if _, err := WeightedStretch(g, s, bad, nil, Options{DistMode: mode}); err == nil {
 			t.Fatalf("%s: malformed weights evaluated without error", mode)
 		}
@@ -388,15 +388,14 @@ func TestHistogramBuckets(t *testing.T) {
 // TestParseDistMode pins the flag spellings the CLIs accept.
 func TestParseDistMode(t *testing.T) {
 	for s, want := range map[string]DistMode{
-		"": DistAuto, "auto": DistAuto, "dense": DistDense,
-		"stream": DistStream,
+		"": DistDense, "dense": DistDense, "stream": DistStream,
 	} {
 		got, err := ParseDistMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseDistMode(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	for _, junk := range []string{"turbo", "cache"} {
+	for _, junk := range []string{"turbo", "cache", "auto"} {
 		if _, err := ParseDistMode(junk); err == nil {
 			t.Fatalf("ParseDistMode accepted %q", junk)
 		}
@@ -424,10 +423,10 @@ func TestOptionsSourcePrecedence(t *testing.T) {
 		t.Fatal("DistStream did not override the apsp argument")
 	}
 	if src := mustSource((Options{}).Source(g, apsp)); src != shortest.DistanceSource(apsp) {
-		t.Fatal("auto mode ignored the provided dense table")
+		t.Fatal("default mode ignored the provided dense table")
 	}
 	if src := mustSource((Options{}).Source(g, nil)); src.Order() != g.Order() {
-		t.Fatal("auto mode with nil apsp did not build a dense table")
+		t.Fatal("default mode with nil apsp did not build a dense table")
 	}
 	if _, err := (Options{DistMode: DistMode(99)}).Source(g, apsp); err == nil {
 		t.Fatal("unknown mode silently resolved a backend instead of erroring")
@@ -448,7 +447,7 @@ func TestSourceForWeighted(t *testing.T) {
 	if src, err := (Options{}).SourceFor(g, w, nil); err != nil {
 		t.Fatal(err)
 	} else if _, ok := src.(*shortest.APSP); !ok {
-		t.Fatalf("weighted auto mode resolved %T", src)
+		t.Fatalf("weighted default mode resolved %T", src)
 	}
 	if _, err := (Options{DistMode: DistMode(99)}).SourceFor(g, w, nil); err == nil {
 		t.Fatal("unknown weighted mode resolved a backend instead of erroring")
@@ -459,39 +458,31 @@ func TestSourceForWeighted(t *testing.T) {
 	}
 }
 
-// TestSourceForKernel pins the kernel resolution policy: batch serves
-// the hop metric only, through backends that can hold a 64-row block —
-// everything else is an explicit error, never a silent scalar fallback.
-func TestSourceForKernel(t *testing.T) {
+// TestSourceForRowBatch pins the row batch each resolved stream
+// advertises: hop streams compute 64-row MS-BFS blocks on row-major
+// scans (so the evaluator claims aligned 64-row chunks and a reader's
+// residency bound is the block), weighted streams one Dijkstra row.
+func TestSourceForRowBatch(t *testing.T) {
 	g := gen.Grid2D(3, 3)
 	w := shortest.UniformWeights(g)
-	if src, err := (Options{DistMode: DistStream, Kernel: shortest.KernelBatch}).SourceFor(g, nil, nil); err != nil {
+	if src, err := (Options{DistMode: DistStream}).SourceFor(g, nil, nil); err != nil {
 		t.Fatal(err)
 	} else if rb, ok := src.(shortest.RowBatcher); !ok || rb.RowBatch() != shortest.MSBFSWidth {
-		t.Fatalf("batched stream source does not advertise the %d-row block (%T)", shortest.MSBFSWidth, src)
+		t.Fatalf("hop stream source does not advertise the %d-row block (%T)", shortest.MSBFSWidth, src)
+	} else if got := src.ResidentRows(4); got != g.Order() {
+		t.Fatalf("hop stream ResidentRows(4) = %d, want the one ragged block n=%d", got, g.Order())
 	}
-	if src, err := (Options{DistMode: DistDense, Kernel: shortest.KernelBatch}).SourceFor(g, nil, nil); err != nil {
-		t.Fatal(err)
-	} else if _, ok := src.(*shortest.APSP); !ok {
-		t.Fatalf("batched dense mode resolved %T", src)
-	}
-	if _, err := (Options{DistMode: DistStream, Kernel: shortest.KernelBatch}).SourceFor(g, w, nil); err == nil {
-		t.Fatal("weighted metric accepted the batch kernel (no Dijkstra batch exists)")
-	}
-	if _, err := (Options{Kernel: shortest.Kernel(99)}).SourceFor(g, nil, nil); err == nil {
-		t.Fatal("unknown kernel resolved a backend instead of erroring")
-	}
-	// The scalar kernel keeps the historical single-row stream claims.
-	if src, err := (Options{DistMode: DistStream, Kernel: shortest.KernelScalar}).SourceFor(g, nil, nil); err != nil {
+	if src, err := (Options{DistMode: DistStream}).SourceFor(g, w, nil); err != nil {
 		t.Fatal(err)
 	} else if rb, ok := src.(shortest.RowBatcher); !ok || rb.RowBatch() != 1 {
-		t.Fatalf("scalar stream source claims %v rows, want 1", src)
+		t.Fatalf("weighted stream source claims %v rows, want 1", src)
 	}
 }
 
 // TestStretchBatchedStream pins the end-to-end evaluator property on a
-// graph bigger than one batch: the batched stream backend's report is
-// bit-identical to the serial dense reference at several worker counts.
+// graph bigger than one batch: the stream backend's 64-row blocks give a
+// report bit-identical to the serial dense reference at several worker
+// counts.
 func TestStretchBatchedStream(t *testing.T) {
 	g := gen.RandomConnected(150, 0.05, xrand.New(11))
 	apsp := shortest.NewAPSP(g)
@@ -504,12 +495,12 @@ func TestStretchBatchedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		rep, err := Stretch(g, s, apsp, Options{Workers: workers, DistMode: DistStream, Kernel: shortest.KernelBatch})
+		rep, err := Stretch(g, s, apsp, Options{Workers: workers, DistMode: DistStream})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if *rep != *ref {
-			t.Fatalf("workers=%d: batched stream report differs from dense serial:\n%+v\nvs\n%+v", workers, rep, ref)
+			t.Fatalf("workers=%d: stream report differs from dense serial:\n%+v\nvs\n%+v", workers, rep, ref)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func SetScalingLarge(v bool) { scalingLarge = v }
 const denseCutoff = 16384
 
 // runE18 sweeps the evaluator's two distance backends (dense table,
-// per-worker streaming BFS) over growing instances of
+// per-worker streamed BFS rows) over growing instances of
 // the random and theorem1 families, for the two scheme regimes the paper
 // contrasts (tables: s=1, Θ(n log n) local bits; landmark: s<=3, o(n)).
 // Every backend must report identical stretch — that equality IS the
@@ -52,7 +52,7 @@ func runE18() ([]*Table, error) {
 		Title: "distance-backend scaling sweep (sampled stretch, per-backend memory/time)",
 		Note: "backends agree bit-for-bit on every report (conformance matrix);\n" +
 			"rows(1w)/distMiB: resident distance rows and their size at ONE worker — n for dense,\n" +
-			"1 for stream (64 under -kernel batch); stream adds that many rows per extra worker.\n" +
+			"64 for stream (one aligned MS-BFS block); stream adds that many rows per extra worker.\n" +
 			"Pinned to one worker so the table is -workers-independent like every other\n" +
 			"report. ms is wall time (machine-dependent; all other columns are deterministic).\n" +
 			"n > " + fmt.Sprint(denseCutoff) + " skips dense and builds landmark via NewStreamed.",

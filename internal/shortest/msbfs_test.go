@@ -135,53 +135,29 @@ func TestMSBFSIntoReusesScratch(t *testing.T) {
 	}
 }
 
-// TestNewAPSPWithKernels pins the constructor knob: scalar and batch
-// builds are bit-identical to the serial reference at several worker
-// counts, for a graph whose order is not a multiple of the batch width.
-func TestNewAPSPWithKernels(t *testing.T) {
+// TestNewAPSPParallelRaggedBatch pins the MS-BFS claim protocol of the
+// parallel build: it is bit-identical to the serial reference at several
+// worker counts, for a graph whose order is not a multiple of the batch
+// width.
+func TestNewAPSPParallelRaggedBatch(t *testing.T) {
 	g := pathGraph(67) // 67 % 64 != 0: last batch is ragged
 	ref := NewAPSP(g)
-	for _, k := range []Kernel{KernelAuto, KernelScalar, KernelBatch} {
-		for _, workers := range []int{1, 3, 8} {
-			a := NewAPSPWith(g, APSPOptions{Workers: workers, Kernel: k})
-			for u := 0; u < g.Order(); u++ {
-				if !reflect.DeepEqual(a.Row(graph.NodeID(u)), ref.Row(graph.NodeID(u))) {
-					t.Fatalf("kernel=%s workers=%d: row %d differs from NewAPSP", k, workers, u)
-				}
+	for _, workers := range []int{1, 3, 8} {
+		a := NewAPSPParallel(g, workers)
+		for u := 0; u < g.Order(); u++ {
+			if !reflect.DeepEqual(a.Row(graph.NodeID(u)), ref.Row(graph.NodeID(u))) {
+				t.Fatalf("workers=%d: row %d differs from NewAPSP", workers, u)
 			}
 		}
 	}
 }
 
-// TestKernelParse pins the flag spelling round-trip and the unknown-value
-// error.
-func TestKernelParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kernel
-	}{{"", KernelAuto}, {"auto", KernelAuto}, {"scalar", KernelScalar}, {"batch", KernelBatch}} {
-		got, err := ParseKernel(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseKernel("simd"); err == nil {
-		t.Fatal("ParseKernel accepted an unknown kernel name")
-	}
-	if KernelBatch.String() != "batch" || KernelScalar.String() != "scalar" || KernelAuto.String() != "auto" {
-		t.Fatal("Kernel.String does not round-trip the flag spellings")
-	}
-}
-
-// TestBatchedStreamSource pins the batched reader: rows equal BFS for
-// in-block, cross-block and repeated requests; RowBatch and ResidentRows
-// reflect the 64-row prefetch block.
+// TestBatchedStreamSource pins the hop stream reader: rows equal BFS for
+// in-block, cross-block and repeated requests, and RowBatch advertises
+// the 64-row block.
 func TestBatchedStreamSource(t *testing.T) {
 	g := pathGraph(130) // three blocks: 64 + 64 + 2
-	src, err := NewStreamSourceKernel(g, KernelBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := NewStreamSource(g)
 	if src.RowBatch() != MSBFSWidth {
 		t.Fatalf("RowBatch() = %d, want %d", src.RowBatch(), MSBFSWidth)
 	}

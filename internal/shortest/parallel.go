@@ -1,32 +1,23 @@
 package shortest
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
 	"repro/internal/graph"
 )
 
-// APSPOptions configures an all-pairs table build.
-type APSPOptions struct {
-	// Workers sizes the worker pool; <= 0 selects GOMAXPROCS.
-	Workers int
-	// Kernel selects the row kernel: KernelScalar runs one BFS per
-	// source, KernelBatch claims MSBFSWidth-source batches through the
-	// word-parallel MSBFSInto, and KernelAuto resolves to batch (a
-	// finished table is kernel-blind: rows are bit-identical either
-	// way, so auto takes the shared-arc-scan win).
-	Kernel Kernel
-}
-
 // NewAPSPParallel computes the all-pairs table with a pool of workers.
 // Rows are independent, so the computation is embarrassingly parallel;
 // on the multi-thousand-vertex Theorem 1 instances this is the dominant
-// preprocessing cost. workers <= 0 selects GOMAXPROCS. It is
-// NewAPSPWith with the auto kernel: workers claim MSBFSWidth-source
-// batches and advance all lanes of a batch through one shared scan of
-// each frontier vertex's arcs, instead of one BFS per claimed row.
+// preprocessing cost. workers <= 0 selects GOMAXPROCS. Workers claim
+// MSBFSWidth-source batches and advance all lanes of a batch through one
+// shared scan of each frontier vertex's arcs (MSBFSInto), instead of one
+// BFS per row. The graph is frozen to its CSR layout before the pool
+// fans out, every row is carved out of one contiguous n×n block (so the
+// finished table is row-major contiguous, like the rows the streaming
+// backends hand out), and each worker reuses its MS-BFS scratch across
+// the claims it wins.
 //
 // The result is bit-identical to NewAPSP (each row is the BFS distance
 // vector of its source and rows do not interact — see MSBFSInto for why
@@ -35,27 +26,8 @@ type APSPOptions struct {
 // which extends it with mergeable accumulators for quantities that are
 // not per-row independent (means, maxima, histograms).
 func NewAPSPParallel(g *graph.Graph, workers int) *APSP {
-	return NewAPSPWith(g, APSPOptions{Workers: workers})
-}
-
-// NewAPSPWith computes the all-pairs table with an explicit worker
-// budget and row kernel, so the scalar and batched paths coexist and
-// stay individually testable. The graph is frozen to its CSR layout
-// before the pool fans out, every row is carved out of one contiguous
-// n×n block (so the finished table is row-major contiguous, like the
-// rows the streaming backends hand out), and each worker reuses its
-// traversal scratch — BFS queue or MS-BFS word arrays — across the
-// claims it wins. Whatever the kernel and worker count, the finished
-// table is bit-identical to NewAPSP's. An out-of-range kernel panics:
-// flag strings are gated by ParseKernel, so a bad value here is a
-// programming error, like an invalid port on Graph.Neighbor.
-func NewAPSPWith(g *graph.Graph, opt APSPOptions) *APSP {
-	if !validKernel(opt.Kernel) {
-		panic(fmt.Sprintf("shortest: unknown kernel %d", int(opt.Kernel)))
-	}
 	g.Freeze()
 	n := g.Order()
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -67,11 +39,7 @@ func NewAPSPWith(g *graph.Graph, opt APSPOptions) *APSP {
 	for u := 0; u < n; u++ {
 		a.dist[u] = block[u*n : (u+1)*n : (u+1)*n]
 	}
-	claim := 1
-	if opt.Kernel != KernelScalar {
-		claim = MSBFSWidth
-	}
-	claims := (n + claim - 1) / claim
+	claims := (n + MSBFSWidth - 1) / MSBFSWidth
 	if workers > claims {
 		workers = claims
 	}
@@ -81,22 +49,10 @@ func NewAPSPWith(g *graph.Graph, opt APSPOptions) *APSP {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if claim == 1 {
-				var queue []graph.NodeID
-				for u := range src {
-					// The row slice is large enough, so BFSInto fills
-					// it in place; the returns are the same headers.
-					_, queue = BFSInto(g, graph.NodeID(u), a.dist[u], queue)
-				}
-				return
-			}
 			scr := &MSBFSScratch{}
-			srcs := make([]graph.NodeID, 0, claim)
+			srcs := make([]graph.NodeID, 0, MSBFSWidth)
 			for start := range src {
-				end := start + claim
-				if end > n {
-					end = n
-				}
+				end := min(start+MSBFSWidth, n)
 				srcs = srcs[:0]
 				for u := start; u < end; u++ {
 					srcs = append(srcs, graph.NodeID(u))
@@ -105,7 +61,7 @@ func NewAPSPWith(g *graph.Graph, opt APSPOptions) *APSP {
 			}
 		}()
 	}
-	for u := 0; u < n; u += claim {
+	for u := 0; u < n; u += MSBFSWidth {
 		src <- u
 	}
 	close(src)

@@ -1,7 +1,6 @@
 package shortest
 
 import (
-	"fmt"
 	"runtime"
 
 	"repro/internal/graph"
@@ -29,7 +28,7 @@ type DistanceSource interface {
 	// n-entry int32 rows the source keeps resident when read by the
 	// given number of concurrent readers (workers <= 0 selects
 	// GOMAXPROCS). Dense tables answer n regardless of workers;
-	// streaming answers one row (or one aligned block) per worker.
+	// streaming answers one aligned block of RowBatch rows per worker.
 	ResidentRows(workers int) int
 }
 
@@ -44,12 +43,13 @@ type RowReader interface {
 }
 
 // RowBatcher is optionally implemented by sources whose readers compute
-// an ALIGNED block of consecutive rows per claim: a Row(src) miss
-// materializes rows [src - src%RowBatch(), …) in one pass, and further
-// Row calls inside that block are free. Row-claiming loops (the
-// evaluator's worker pool) check for it and claim RowBatch-aligned
-// row chunks instead of single rows, so one worker's claims line up
-// with its reader's prefetch blocks and no block is computed twice.
+// an ALIGNED block of consecutive rows during a row-major scan: a
+// Row(src) miss that continues a scan materializes rows
+// [src - src%RowBatch(), …) in one pass, and further Row calls inside
+// that block are free. Row-claiming loops (the evaluator's worker pool)
+// check for it and claim RowBatch-aligned row chunks instead of single
+// rows, so one worker's claims line up with its reader's blocks and no
+// block is computed twice.
 // RowBatch is 1 for pure per-row sources.
 type RowBatcher interface {
 	RowBatch() int
@@ -79,195 +79,148 @@ func (a *APSP) ResidentRows(workers int) int { return a.n }
 var _ DistanceSource = (*APSP)(nil)
 var _ RowReader = (*APSP)(nil)
 
-// --- row kernels: the metric behind a streaming source ---
-
-// RowFunc computes the distance row from src into dist — reusing dist
-// when it is large enough, allocating a fresh row otherwise (dist may be
-// nil) — and returns the row. A RowFunc owns whatever traversal scratch
-// it carries across calls, so it is NOT safe for concurrent use; sources
-// create one per reader via a rowKernel factory.
-type RowFunc func(src graph.NodeID, dist []int32) []int32
-
-// rowKernel is what parameterizes the generic streaming source
-// by metric: the unweighted kernel recomputes rows by BFS, the weighted
-// one by Dijkstra under a validated weight assignment. Both are pure
-// per-row functions of (graph[, weights], source), which is exactly the
-// property the backend bit-identity contract rests on.
-type rowKernel func() RowFunc
-
-// bfsKernel returns a factory of BFS row functions over g, each owning
-// its queue scratch.
-func bfsKernel(g *graph.Graph) rowKernel {
-	return func() RowFunc {
-		var queue []graph.NodeID
-		return func(src graph.NodeID, dist []int32) []int32 {
-			dist, queue = BFSInto(g, src, dist, queue)
-			return dist
-		}
-	}
-}
-
-// dijkstraKernel returns a factory of Dijkstra row functions over (g, w),
-// each owning its heap scratch.
-func dijkstraKernel(g *graph.Graph, w Weights) rowKernel {
-	return func() RowFunc {
-		var pq DijkstraHeap
-		return func(src graph.NodeID, dist []int32) []int32 {
-			dist, pq = DijkstraInto(g, w, src, dist, pq)
-			return dist
-		}
-	}
-}
-
 // --- streaming backend: per-reader on-demand row recomputation ---
 
-// StreamSource recomputes each requested row into per-reader scratch
-// buffers: distance memory is one row per reader — O(workers·n) under a
-// worker pool — instead of O(n²), at the cost of one traversal per
-// (reader, row) visit. Exhaustive and sampled row-major evaluation visit
-// each row once per claiming worker, so the total traversal work is the
-// same n rows a dense table pays up front. The kernel is BFS under
-// NewStreamSource and Dijkstra under NewWeightedStreamSource; everything
-// else — residency, reader discipline, determinism — is metric-blind.
+// StreamSource recomputes requested rows into per-reader buffers:
+// distance memory is at most one MSBFSWidth-row block per reader —
+// O(workers·n) under a worker pool — instead of O(n²), at the cost of
+// recomputing rows on demand. Row-major evaluation computes each row
+// once per claiming worker, so the total traversal work is the same n
+// rows a dense table pays up front. Rows are BFS rows under
+// NewStreamSource and Dijkstra rows under NewWeightedStreamSource;
+// the residency bound and reader discipline are metric-blind.
 type StreamSource struct {
-	n      int
-	batch  int          // rows a reader computes per aligned claim (1 = scalar)
-	kernel rowKernel    // per-row path (batch == 1)
-	g      *graph.Graph // batch path (batch > 1): MSBFSInto reads the CSR directly
+	g        *graph.Graph
+	n        int
+	w        Weights // Dijkstra weights; nil for BFS rows
+	weighted bool
 }
 
 // NewStreamSource returns a streaming source of BFS (hop metric) rows
-// over g, one row per claim — the scalar kernel, whose one resident row
-// per reader contract is part of recorded experiment output. The graph
-// is frozen to its CSR layout here — the last serial point before
-// readers fan out across workers — so every per-row traversal walks
-// contiguous arcs. NewStreamSourceKernel opts into the batched kernel.
+// over g. The graph is frozen to its CSR layout here — the last serial
+// point before readers fan out across workers — so every traversal
+// walks contiguous arcs. Each reader picks how to compute a missed row
+// from the order of its requests (see bfsReader): a row-major scan gets
+// the aligned MSBFSWidth-row block in one MSBFSInto pass, any other
+// request one BFSInto row.
 func NewStreamSource(g *graph.Graph) *StreamSource {
 	g.Freeze()
-	return &StreamSource{n: g.Order(), batch: 1, kernel: bfsKernel(g)}
-}
-
-// NewStreamSourceKernel is NewStreamSource with an explicit row kernel.
-// KernelBatch readers prefetch one MSBFSWidth-aligned block of rows per
-// claimed source — Row(src) computes rows [src-src%64, …) in one
-// word-parallel pass and serves the rest of the block for free — which
-// multiplies per-reader residency by the block width (see ResidentRows)
-// in exchange for amortizing every arc scan across up to 64 rows.
-// KernelAuto and KernelScalar select the per-row source unchanged; an
-// unknown kernel is an explicit error, never a silent fallback.
-func NewStreamSourceKernel(g *graph.Graph, k Kernel) (*StreamSource, error) {
-	switch k {
-	case KernelAuto, KernelScalar:
-		return NewStreamSource(g), nil
-	case KernelBatch:
-		g.Freeze()
-		return &StreamSource{n: g.Order(), batch: MSBFSWidth, g: g}, nil
-	default:
-		return nil, fmt.Errorf("shortest: unknown kernel %d", int(k))
-	}
+	return &StreamSource{g: g, n: g.Order()}
 }
 
 // NewWeightedStreamSource returns a streaming source of Dijkstra rows
 // under w — the weighted metric with the same O(workers·n) residency
-// contract as NewStreamSource. Weights are validated here, the one
-// serial point, so readers never see a malformed assignment.
+// contract as NewStreamSource, one row per reader. Weights are
+// validated here, the one serial point, so readers never see a
+// malformed assignment.
 func NewWeightedStreamSource(g *graph.Graph, w Weights) (*StreamSource, error) {
 	if err := w.Validate(g); err != nil {
 		return nil, err
 	}
 	g.Freeze()
-	return &StreamSource{n: g.Order(), batch: 1, kernel: dijkstraKernel(g, w)}, nil
+	return &StreamSource{g: g, n: g.Order(), w: w, weighted: true}, nil
 }
 
 // Order implements DistanceSource.
 func (s *StreamSource) Order() int { return s.n }
 
 // RowBatch implements RowBatcher: the number of consecutive rows a
-// reader materializes per aligned claim — MSBFSWidth for the batched
-// kernel, 1 for the scalar and weighted kernels.
-func (s *StreamSource) RowBatch() int { return s.batch }
+// reader materializes per aligned block — MSBFSWidth for BFS rows, 1
+// for Dijkstra rows.
+func (s *StreamSource) RowBatch() int {
+	if s.weighted {
+		return 1
+	}
+	return MSBFSWidth
+}
 
 // NewReader implements DistanceSource.
 func (s *StreamSource) NewReader() RowReader {
-	if s.batch > 1 {
-		return &msbfsReader{g: s.g, n: s.n, batch: s.batch, start: -1}
+	if s.weighted {
+		return &dijkstraReader{g: s.g, w: s.w, src: -1}
 	}
-	return &streamReader{compute: s.kernel()}
+	return &bfsReader{g: s.g, n: s.n, last: -1}
 }
 
-// ResidentRows implements DistanceSource: each reader keeps one aligned
-// block of RowBatch rows resident (one row under the scalar kernels), so
-// the bound is workers × RowBatch, capped by the number of blocks that
-// exist and by n. For batch == 1 this reduces to the historical
-// one-row-per-worker bound exactly; the batched kernel's honest answer
-// is 64 rows per worker — memreq's beyond-RAM accounting reports what a
-// run will actually hold resident.
+// ResidentRows implements DistanceSource: each reader keeps at most one
+// aligned block of RowBatch rows resident, so the bound is
+// workers × RowBatch, capped by the number of blocks that exist and by
+// n. A BFS reader that never scans holds one row; the bound is the
+// honest worst case, which is what memreq's beyond-RAM accounting
+// reports.
 func (s *StreamSource) ResidentRows(workers int) int {
+	batch := s.RowBatch()
 	w := normWorkers(workers)
-	blocks := 0
-	if s.batch > 0 {
-		blocks = (s.n + s.batch - 1) / s.batch
-	}
-	if w > blocks {
+	if blocks := (s.n + batch - 1) / batch; w > blocks {
 		w = blocks
 	}
-	r := w * s.batch
-	if r > s.n {
-		r = s.n
-	}
-	return r
+	return min(w*batch, s.n)
 }
 
-// msbfsReader is the batched streaming reader: one MSBFSWidth-aligned
-// block of rows resident at a time, computed by a single word-parallel
-// pass and carved from one contiguous block buffer. Rows of the resident
-// block stay valid until a Row call outside it — a superset of the
-// RowReader validity contract.
-type msbfsReader struct {
+// bfsReader is the hop-metric streaming reader. It owns one buffer of
+// at most MSBFSWidth rows and picks how to fill it on a miss from the
+// order of requests:
+//
+//   - block path: src is the previous request + 1, i.e. a row-major
+//     scan (the evaluator's aligned claims, routing.MeasureStretch).
+//     One MSBFSInto pass computes the aligned block holding src, and
+//     the scan's next rows in that block are free;
+//   - single-row path: any other miss (serving's random sources) runs
+//     one BFSInto into the front of the same buffer, so a reader that
+//     never scans never grows past one row.
+//
+// Either way the rows are bit-identical to BFSInto. Rows of the
+// resident block stay valid until a Row call outside it — a superset of
+// the RowReader validity contract.
+type bfsReader struct {
 	g     *graph.Graph
 	n     int
-	batch int
-	start int // first row of the resident block; -1 = none
-	width int // rows in the resident block
-	block []int32
+	last  int // previous request; -1 before the first
+	start int // resident rows are [start, start+width)
+	width int
+	buf   []int32
+	queue []graph.NodeID
 	scr   *MSBFSScratch
 	srcs  []graph.NodeID
 }
 
-func (r *msbfsReader) Row(src graph.NodeID) []int32 {
+func (r *bfsReader) Row(src graph.NodeID) []int32 {
 	s := int(src)
-	if r.start >= 0 && s >= r.start && s < r.start+r.width {
-		i := s - r.start
-		return r.block[i*r.n : (i+1)*r.n]
+	scan := r.last >= 0 && s == r.last+1
+	r.last = s
+	if s < r.start || s >= r.start+r.width {
+		if scan {
+			r.start = s - s%MSBFSWidth
+			r.width = min(MSBFSWidth, r.n-r.start)
+			r.srcs = r.srcs[:0]
+			for u := r.start; u < r.start+r.width; u++ {
+				r.srcs = append(r.srcs, graph.NodeID(u))
+			}
+			r.buf, r.scr = MSBFSInto(r.g, r.srcs, r.buf, r.scr)
+		} else {
+			r.buf, r.queue = BFSInto(r.g, src, r.buf, r.queue)
+			r.start, r.width = s, 1
+		}
 	}
-	start := s - s%r.batch
-	width := r.batch
-	if start+width > r.n {
-		width = r.n - start
-	}
-	r.srcs = r.srcs[:0]
-	for u := start; u < start+width; u++ {
-		r.srcs = append(r.srcs, graph.NodeID(u))
-	}
-	r.block, r.scr = MSBFSInto(r.g, r.srcs, r.block, r.scr)
-	r.start, r.width = start, width
-	i := s - start
-	return r.block[i*r.n : (i+1)*r.n]
+	i := s - r.start
+	return r.buf[i*r.n : (i+1)*r.n]
 }
 
-type streamReader struct {
-	compute RowFunc
-	src     graph.NodeID
-	valid   bool
-	dist    []int32
+// dijkstraReader is the weighted streaming reader: one Dijkstra row
+// resident, recomputed whenever the source changes.
+type dijkstraReader struct {
+	g    *graph.Graph
+	w    Weights
+	src  graph.NodeID // source of dist; -1 = none
+	dist []int32
+	pq   DijkstraHeap
 }
 
-func (r *streamReader) Row(src graph.NodeID) []int32 {
-	if r.valid && r.src == src {
-		return r.dist
+func (r *dijkstraReader) Row(src graph.NodeID) []int32 {
+	if src != r.src {
+		r.dist, r.pq = DijkstraInto(r.g, r.w, src, r.dist, r.pq)
+		r.src = src
 	}
-	r.dist = r.compute(src, r.dist)
-	r.src, r.valid = src, true
 	return r.dist
 }
 

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/xrand"
 )
 
 // sourceTestGraph is a small connected graph with a nontrivial distance
@@ -118,40 +120,29 @@ func TestResidentRowsHints(t *testing.T) {
 	if got := NewAPSP(g).ResidentRows(4); got != 9 {
 		t.Fatalf("dense hint %d, want n=9", got)
 	}
-	if got := NewStreamSource(g).ResidentRows(4); got != 4 {
-		t.Fatalf("stream hint %d, want workers=4", got)
+	// A hop stream reader may hold one 64-row block; on n=9 that single
+	// ragged block is the whole graph, whatever the worker count.
+	stream := NewStreamSource(g)
+	for _, workers := range []int{1, 4, 64} {
+		if got := stream.ResidentRows(workers); got != 9 {
+			t.Fatalf("stream hint at %d workers = %d, want clamp to n=9", workers, got)
+		}
 	}
-	if got := NewStreamSource(g).ResidentRows(64); got != 9 {
-		t.Fatalf("stream hint %d, want clamp to n=9", got)
-	}
-	// The explicit scalar kernel is the same source as NewStreamSource —
-	// same hints, and RowBatch advertises single-row claims.
-	scalar, err := NewStreamSourceKernel(g, KernelScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := scalar.ResidentRows(4); got != 4 {
-		t.Fatalf("scalar-kernel stream hint %d, want workers=4", got)
-	}
-	if scalar.RowBatch() != 1 {
-		t.Fatalf("scalar stream RowBatch() = %d, want 1", scalar.RowBatch())
+	if stream.RowBatch() != MSBFSWidth {
+		t.Fatalf("stream RowBatch() = %d, want %d", stream.RowBatch(), MSBFSWidth)
 	}
 }
 
-// TestBatchedStreamResidentRows pins the batched kernel's resident-row
-// accounting: each reader holds one 64-row prefetch block, so the hint
-// is workers×64, capped by the number of blocks that exist and by n —
-// this is what keeps memreq's beyond-RAM claims honest when -kernel
-// batch multiplies per-reader residency.
+// TestBatchedStreamResidentRows pins the hop stream's resident-row
+// accounting: each reader may hold one 64-row block, so the hint is
+// workers×64, capped by the number of blocks that exist and by n —
+// this is what keeps memreq's beyond-RAM claims honest.
 func TestBatchedStreamResidentRows(t *testing.T) {
 	big := graph.New(200) // 4 blocks: 64+64+64+8
 	for v := 0; v < 199; v++ {
 		big.AddEdge(graph.NodeID(v), graph.NodeID(v+1))
 	}
-	src, err := NewStreamSourceKernel(big, KernelBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := NewStreamSource(big)
 	for _, tc := range []struct{ workers, want int }{
 		{1, 64},   // one reader, one block
 		{2, 128},  // two blocks
@@ -160,20 +151,71 @@ func TestBatchedStreamResidentRows(t *testing.T) {
 		{64, 200}, // more workers than blocks: every row could be resident
 	} {
 		if got := src.ResidentRows(tc.workers); got != tc.want {
-			t.Fatalf("batched stream ResidentRows(%d) = %d, want %d", tc.workers, got, tc.want)
+			t.Fatalf("stream ResidentRows(%d) = %d, want %d", tc.workers, got, tc.want)
 		}
 	}
 	// Small graphs: a single ragged block, never more than n.
-	small, err := NewStreamSourceKernel(sourceTestGraph(), KernelBatch) // n = 9
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := NewStreamSource(sourceTestGraph()) // n = 9
 	if got := small.ResidentRows(4); got != 9 {
-		t.Fatalf("batched stream ResidentRows(4) on n=9 = %d, want 9", got)
+		t.Fatalf("stream ResidentRows(4) on n=9 = %d, want 9", got)
 	}
 	if got := small.ResidentRows(1); got != 9 {
-		t.Fatalf("batched stream ResidentRows(1) on n=9 = %d, want 9", got)
+		t.Fatalf("stream ResidentRows(1) on n=9 = %d, want 9", got)
 	}
+}
+
+// TestStreamReaderAccessPattern drives one hop reader through random
+// jumps, repeats and row-major runs that cross block boundaries, on a
+// graph whose order is not a multiple of 64. Every row must equal
+// BFSInto; a stream with no src == previous+1 step must keep the buffer
+// at one row, and a scan must switch to the aligned 64-row block.
+func TestStreamReaderAccessPattern(t *testing.T) {
+	g := gen.RandomConnected(200, 0.05, xrand.New(21))
+	n := g.Order()
+	want := make([][]int32, n)
+	var queue []graph.NodeID
+	for v := range want {
+		want[v], queue = BFSInto(g, graph.NodeID(v), nil, queue)
+	}
+	rd := NewStreamSource(g).NewReader().(*bfsReader)
+	prev := -1
+	check := func(v int) {
+		t.Helper()
+		if got := rd.Row(graph.NodeID(v)); !reflect.DeepEqual(got, want[v]) {
+			t.Fatalf("row %d (after %d) differs from BFSInto", v, prev)
+		}
+		prev = v
+	}
+	jumps := func(seed uint64) {
+		t.Helper()
+		r := xrand.New(seed)
+		for i := 0; i < 300; i++ {
+			v := r.Intn(n)
+			if v == prev+1 {
+				continue
+			}
+			check(v)
+			if i%5 == 0 {
+				check(v) // repeat: served from the resident row
+			}
+		}
+	}
+
+	jumps(5)
+	if cap(rd.buf) != n {
+		t.Fatalf("non-sequential stream grew the buffer to %d entries, want one row (%d)", cap(rd.buf), n)
+	}
+	for _, run := range [][2]int{{60, 70}, {125, 135}, {190, 200}, {0, 3}, {62, 66}} {
+		for v := run[0]; v < run[1]; v++ {
+			check(v)
+		}
+		last := run[1] - 1
+		if start := last - last%MSBFSWidth; rd.start != start || rd.width != min(MSBFSWidth, n-start) {
+			t.Fatalf("after scan %v: resident rows [%d, %d), want the aligned block at %d", run, rd.start, rd.start+rd.width, start)
+		}
+	}
+	// Jumps after scans reuse the grown buffer and stay exact.
+	jumps(6)
 }
 
 // TestBFSIntoReusesScratch checks the zero-allocation steady state the

@@ -1,6 +1,6 @@
 // Kernel conformance suite for the MS-BFS batch kernel: the property
-// that lets `-kernel batch` replace one-BFS-per-row anywhere without
-// changing a recorded number is
+// that lets table builds and row-major stream scans compute 64 rows per
+// pass instead of one BFS per row without changing a recorded number is
 //
 //	MSBFSInto(g, sources)[i] == BFSInto(g, sources[i])  element-for-element
 //
@@ -10,8 +10,8 @@
 // multiple of 64). The suite partitions the sources at batch widths 1,
 // 63, 64 and 65 — below, at, and across the word boundary — checks the
 // batched APSP builder at three worker counts against the serial
-// reference, and runs a race canary over the batched StreamSource (the
-// CI configuration runs this file under `go test -race`).
+// reference, and runs a race canary over both StreamSource reader paths
+// (the CI configuration runs this file under `go test -race`).
 package repro
 
 import (
@@ -119,7 +119,7 @@ func TestMSBFSAPSPWorkerConformance(t *testing.T) {
 			g := tc.g
 			ref := shortest.NewAPSP(g)
 			for _, workers := range []int{1, 3, 8} {
-				a := shortest.NewAPSPWith(g, shortest.APSPOptions{Workers: workers, Kernel: shortest.KernelBatch})
+				a := shortest.NewAPSPParallel(g, workers)
 				for u := 0; u < g.Order(); u++ {
 					if !reflect.DeepEqual(a.Row(graph.NodeID(u)), ref.Row(graph.NodeID(u))) {
 						t.Fatalf("workers=%d: row %d differs from serial NewAPSP", workers, u)
@@ -130,19 +130,17 @@ func TestMSBFSAPSPWorkerConformance(t *testing.T) {
 	}
 }
 
-// TestBatchedStreamSourceConcurrentRace hammers one shared batched
-// StreamSource from 8 goroutines with interleaved, block-crossing row
-// requests — under `go test -race` (the CI configuration) this is the
-// data-race canary for the 64-row prefetch readers sharing a frozen
+// TestBatchedStreamSourceConcurrentRace hammers one shared hop
+// StreamSource from 8 goroutines, each mixing row-major runs (the
+// reader's MS-BFS block path) with strided, block-crossing jumps (its
+// single-row BFS path) — under `go test -race` (the CI configuration)
+// this is the data-race canary for both reader paths sharing a frozen
 // CSR arena — and checks every returned row against scalar BFS.
 func TestBatchedStreamSourceConcurrentRace(t *testing.T) {
 	g := gen.RandomConnected(200, 0.05, xrand.New(9))
 	n := g.Order()
 	want := scalarReference(g)
-	src, err := shortest.NewStreamSourceKernel(g, shortest.KernelBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := shortest.NewStreamSource(g)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for w := 0; w < 8; w++ {
@@ -151,10 +149,19 @@ func TestBatchedStreamSourceConcurrentRace(t *testing.T) {
 			defer wg.Done()
 			rd := src.NewReader() // readers are per-goroutine; the source is shared
 			for i := 0; i < 150; i++ {
-				v := (i*13 + w*31) % n // stride crosses prefetch blocks constantly
-				if !reflect.DeepEqual(rd.Row(graph.NodeID(v)), want[v]) {
-					errs <- "batched stream row mismatch under concurrency"
-					return
+				// Even rounds scan 5 rows in order from a strided start;
+				// odd rounds jump by a stride that crosses blocks.
+				v := (i*13 + w*31) % n
+				rows := 1
+				if i%2 == 0 {
+					rows = 5
+				}
+				for j := 0; j < rows; j++ {
+					u := (v + j) % n
+					if !reflect.DeepEqual(rd.Row(graph.NodeID(u)), want[u]) {
+						errs <- "stream row mismatch under concurrency"
+						return
+					}
 				}
 			}
 		}(w)
