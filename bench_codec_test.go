@@ -144,7 +144,7 @@ func BenchmarkNetServeRoundTrip(b *testing.B) {
 // BenchmarkServeBatch drives one loaded (decoded) tables scheme with a
 // seeded 100k-query stretch batch over the dense distance backend (the
 // build-once serve-many configuration), across the worker ladder — the
-// routeserve -bench workload as a repeatable benchmark.
+// repository's closed-loop worker-scaling throughput measurement.
 func BenchmarkServeBatch(b *testing.B) {
 	const n = 2048
 	const batch = 100000

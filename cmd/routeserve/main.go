@@ -8,7 +8,6 @@
 //	routeserve -family random -n 256 -scheme tables -save s.rsf   # build + persist
 //	routeserve -load s.rsf -queries q.txt                         # load + answer queries
 //	echo "stretch 0 17" | routeserve -load s.rsf -queries -       # queries from stdin
-//	routeserve -load s.rsf -bench                                 # self-drive throughput sweep
 //	routeserve -family tree -n 100 -scheme tree -queries -        # build ad hoc, no file
 //	routeserve -load s.rsf -listen :9000                          # serve the wire protocol over TCP
 //	routeserve -load s.rsf -listen :9000 -shards 4                # sharded loopback cluster behind one front
@@ -30,11 +29,6 @@
 // the target directory that is renamed over the target, so a crash
 // leaves the old file or the new one, never a torn write. -load reads
 // v2 containers only; a v1 file is refused with an explicit error.
-//
-// -bench self-drives the server: seeded random stretch queries in
-// -batch-sized batches across a ladder of worker counts, reporting
-// queries/second (wall time, machine-dependent; everything else this
-// tool prints is deterministic).
 //
 // -kill injects a seeded fault before serving: it draws a deterministic
 // plan (internal/faults; -killmode edges|vertices, -killseed, -killweight
@@ -58,7 +52,9 @@
 // each with its own distance backend — behind a scatter/gather front
 // listening on -listen; answers are byte-identical to the in-process
 // server at every shard count (the netserve conformance suite pins
-// this). cmd/loadgen is the matching open-loop latency harness.
+// this). Serving latency is measured by the repository benchmark
+// (perfbench, answer-checked open loop) and worker-scaling throughput
+// by BenchmarkServeBatch; this command only serves.
 package main
 
 import (
@@ -102,8 +98,6 @@ func main() {
 	batch := flag.Int("batch", 1024, "queries per served batch")
 	workers := flag.Int("workers", 0, "worker pool size per batch (0 = all cores)")
 	distmode := flag.String("distmode", "dense", "distance backend for stretch queries: dense|stream")
-	bench := flag.Bool("bench", false, "self-drive mode: serve seeded stretch queries across a worker ladder and report throughput")
-	benchQueries := flag.Int("benchqueries", 0, "query count per -bench cell (0 = default 200000)")
 	listen := flag.String("listen", "", "serve the netserve wire protocol on this TCP address (host:port)")
 	shards := flag.Int("shards", 1, "with -listen: partition the router ID space across this many serving shards")
 	deadline := flag.Duration("deadline", 5*time.Second, "with -listen: per-connection read/write deadline and front-to-shard round-trip budget")
@@ -121,7 +115,7 @@ func main() {
 	if err != nil {
 		fail(2, err)
 	}
-	if err := cliutil.ValidateServeFlags(*batch, *benchQueries); err != nil {
+	if err := cliutil.ValidateServeFlags(*batch); err != nil {
 		fail(2, err)
 	}
 	if *listen != "" {
@@ -129,14 +123,11 @@ func main() {
 			fail(2, err)
 		}
 	}
-	if !*bench && *queries == "" && *save == "" && *listen == "" {
-		fail(2, fmt.Errorf("nothing to do: pass -save, -queries, -bench or -listen"))
+	if *queries == "" && *save == "" && *listen == "" {
+		fail(2, fmt.Errorf("nothing to do: pass -save, -queries or -listen"))
 	}
-	if *bench && *queries != "" {
-		fail(2, fmt.Errorf("-bench and -queries are mutually exclusive (the bench self-drives its own queries)"))
-	}
-	if *listen != "" && (*bench || *queries != "") {
-		fail(2, fmt.Errorf("-listen is mutually exclusive with -queries and -bench (drive a listening server with cmd/loadgen)"))
+	if *listen != "" && *queries != "" {
+		fail(2, fmt.Errorf("-listen and -queries are mutually exclusive (a listening server answers wire clients, not a query file)"))
 	}
 	if *mmap && *load == "" {
 		fail(2, fmt.Errorf("-mmap only applies to -load"))
@@ -320,7 +311,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "routeserve: %s in %.2f ms, resident %d bytes\n",
 		verb, float64(loadWall.Microseconds())/1000, residentBytes)
 
-	if !*bench && *queries == "" && *listen == "" {
+	if *queries == "" && *listen == "" {
 		return // save-only run: no serving, so never build a distance oracle
 	}
 	// The oracle backend only matters for stretch queries, and which ops
@@ -364,12 +355,6 @@ func main() {
 		return
 	}
 	sv := serve.New(g, s, shardSource(), serve.Options{Workers: *workers})
-	if *bench {
-		fmt.Printf("load: %.2f ms, resident: %d bytes (%s)\n",
-			float64(loadWall.Microseconds())/1000, residentBytes, verb)
-		runBench(sv, g, *batch, *benchQueries, *workers)
-		return
-	}
 	if err := serveQueries(sv, *queries, *batch); err != nil {
 		fail(1, err)
 	}
@@ -584,11 +569,13 @@ func parseQuery(line string) (serve.Query, error) {
 	if err != nil {
 		return serve.Query{}, err
 	}
-	u, err := strconv.Atoi(fields[1])
+	// NodeID is int32: parse at that width so an out-of-range ID is a
+	// line error instead of silently wrapping onto another router.
+	u, err := strconv.ParseInt(fields[1], 10, 32)
 	if err != nil {
 		return serve.Query{}, fmt.Errorf("bad source in %q: %w", line, err)
 	}
-	v, err := strconv.Atoi(fields[2])
+	v, err := strconv.ParseInt(fields[2], 10, 32)
 	if err != nil {
 		return serve.Query{}, fmt.Errorf("bad destination in %q: %w", line, err)
 	}
@@ -618,72 +605,5 @@ func printResult(out *bufio.Writer, res serve.Result) {
 		fmt.Fprintf(out, "len=%d dist=%d stretch=%.4f\n", res.Len, res.Dist, res.Stretch)
 	default:
 		fmt.Fprintf(out, "len=%d\n", res.Len)
-	}
-}
-
-// runBench self-drives the server with seeded random stretch queries —
-// the pair workload of the evaluator, served batch by batch — across a
-// ladder of worker counts (or just the -workers value when set).
-func runBench(sv *serve.Server, g *graph.Graph, batch, total, workers int) {
-	if total <= 0 {
-		total = 200000
-	}
-	ladder := []int{1, 2, 4, 8}
-	if workers > 0 {
-		ladder = []int{workers}
-	}
-	r := xrand.New(99)
-	n := g.Order()
-	qs := make([]serve.Query, 0, total)
-	for len(qs) < total {
-		u := graph.NodeID(r.Intn(n))
-		v := graph.NodeID(r.Intn(n))
-		// Fault-injected runs leave dead vertices behind; a query to one
-		// is a correct error, but the bench measures served throughput.
-		if u == v || g.Removed(u) || g.Removed(v) {
-			continue
-		}
-		qs = append(qs, serve.Query{Op: serve.OpStretch, U: u, V: v})
-	}
-	// Warm-up outside the timers: the oracle may be lazily resolved on
-	// the first stretch read, and timing that one-off n² build inside
-	// rung 1 would corrupt the very worker-scaling comparison the
-	// ladder exists to make.
-	if res := sv.ServeBatch(qs[:1]); res[0].Err != nil {
-		fail(1, fmt.Errorf("bench: warm-up query failed: %w", res[0].Err))
-	}
-	fmt.Printf("  %-8s %-10s %-10s %-12s %s\n", "workers", "queries", "batch", "ms", "queries/s")
-	seen := map[int]bool{}
-	for _, w := range ladder {
-		wsv := sv.WithWorkers(w)
-		// Report the pool size a batch of this shape actually runs with
-		// (small batches cap the pool at their chunk count), and skip
-		// ladder rungs that collapse onto an already-measured size —
-		// two rows must never silently measure the same configuration.
-		eff := wsv.Workers(min(batch, total))
-		if seen[eff] {
-			continue
-		}
-		seen[eff] = true
-		start := time.Now()
-		errs := 0
-		for off := 0; off < total; off += batch {
-			end := off + batch
-			if end > total {
-				end = total
-			}
-			for _, res := range wsv.ServeBatch(qs[off:end]) {
-				if res.Err != nil {
-					errs++
-				}
-			}
-		}
-		elapsed := time.Since(start)
-		if errs > 0 {
-			fail(1, fmt.Errorf("bench: %d queries failed", errs))
-		}
-		fmt.Printf("  %-8d %-10d %-10d %-12d %.0f\n",
-			eff, total, batch, elapsed.Milliseconds(),
-			float64(total)/elapsed.Seconds())
 	}
 }

@@ -69,25 +69,24 @@ func TestParseEvalFlags(t *testing.T) {
 
 func TestValidateServeFlags(t *testing.T) {
 	cases := []struct {
-		batch, benchQueries int
-		wantErr             string
+		batch   int
+		wantErr string
 	}{
-		{1, 0, ""},
-		{1024, 100000, ""},
-		{0, 0, "-batch"},
-		{-8, 0, "-batch"},
-		{1024, -1, "-benchqueries"},
+		{1, ""},
+		{1024, ""},
+		{0, "-batch"},
+		{-8, "-batch"},
 	}
 	for _, c := range cases {
-		err := ValidateServeFlags(c.batch, c.benchQueries)
+		err := ValidateServeFlags(c.batch)
 		if c.wantErr == "" {
 			if err != nil {
-				t.Fatalf("ValidateServeFlags(%d,%d) = %v, want nil", c.batch, c.benchQueries, err)
+				t.Fatalf("ValidateServeFlags(%d) = %v, want nil", c.batch, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Fatalf("ValidateServeFlags(%d,%d) err = %v, want error mentioning %q", c.batch, c.benchQueries, err, c.wantErr)
+			t.Fatalf("ValidateServeFlags(%d) err = %v, want error mentioning %q", c.batch, err, c.wantErr)
 		}
 	}
 }
@@ -152,49 +151,6 @@ func TestValidateNetFlags(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Fatalf("ValidateNetFlags(%q,%d,%v,%d) = %v, want error mentioning %q", c.listen, c.shards, c.deadline, c.maxInFlight, err, c.wantErr)
-		}
-	}
-}
-
-func TestValidateLoadgenFlags(t *testing.T) {
-	cases := []struct {
-		rate     int
-		duration time.Duration
-		batch    int
-		wantErr  string
-	}{
-		{1000, 10 * time.Second, 64, ""},
-		{1, time.Millisecond, 1, ""},
-		{0, time.Second, 64, "-rate"},
-		{-100, time.Second, 64, "-rate"},
-		{1000, 0, 64, "-duration"},
-		{1000, -time.Second, 64, "-duration"},
-		{1000, 2 * time.Hour, 64, "-duration"},
-		{1000, time.Second, 0, "-batch"},
-		{1000, time.Second, -8, "-batch"},
-	}
-	for _, c := range cases {
-		err := ValidateLoadgenFlags(c.rate, c.duration, c.batch)
-		if c.wantErr == "" {
-			if err != nil {
-				t.Fatalf("ValidateLoadgenFlags(%d,%v,%d) = %v, want nil", c.rate, c.duration, c.batch, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Fatalf("ValidateLoadgenFlags(%d,%v,%d) = %v, want error mentioning %q", c.rate, c.duration, c.batch, err, c.wantErr)
-		}
-	}
-}
-
-func TestParseIntList(t *testing.T) {
-	got, err := ParseIntList("-shards", "1, 2,8")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 8 {
-		t.Fatalf("ParseIntList = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "1,,2", "a", "1,-2", "0", "1,2,zero"} {
-		if _, err := ParseIntList("-clients", bad); err == nil || !strings.Contains(err.Error(), "-clients") {
-			t.Fatalf("ParseIntList(%q) = %v, want -clients error", bad, err)
 		}
 	}
 }

@@ -2,10 +2,11 @@
 // figure of the paper (and the quantitative claims made in its prose) as
 // plain-text tables, one experiment per paper artifact.
 //
-// Experiments are registered under stable identifiers E1..E20 (see
-// DESIGN.md for the mapping to tables/figures); the routelab CLI and the
-// repository-level benchmarks both drive this registry, so the numbers in
-// EXPERIMENTS.md are reproducible with a single command.
+// Experiments are registered under stable identifiers E1..E20 and E23
+// (see DESIGN.md for the mapping to tables/figures; E21 and E22 are
+// recorded outside this registry, see EXPERIMENTS.md); the routelab CLI
+// and the repository-level benchmarks both drive this registry, so the
+// numbers in EXPERIMENTS.md are reproducible with a single command.
 //
 // All-pairs measurements flow through the worker-pool engine of
 // internal/evaluate (configured via SetEvalOptions); results are

@@ -51,8 +51,8 @@ func (m ShardMap) Range(i int) (lo, hi graph.NodeID) {
 }
 
 // Group runs k shard servers on loopback — the in-process cluster
-// bootstrap shared by routeserve -listen -shards k, the loadgen
-// harness and the conformance suite. Each shard gets its own Server
+// bootstrap shared by routeserve -listen -shards k, the repository
+// benchmark and the conformance suite. Each shard gets its own Server
 // (own admission semaphore, own connections) built over the handler
 // the factory returns for its index.
 type Group struct {

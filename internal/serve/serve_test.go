@@ -163,7 +163,7 @@ func TestServeEmptyBatch(t *testing.T) {
 	if got := sv.ServeBatch(nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
-	if w := sv.Workers(1); w != 1 {
+	if w := sv.workers(1); w != 1 {
 		t.Fatalf("1-query batch uses %d workers", w)
 	}
 }
